@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .perm import CycleType, Perm, parse_perm
 from .groups import (GroupSpec, alt, alt_c2, are_conjugate, centralizer_order,
-                     class_splits, commutator_witness, generates, parse_group,
-                     sym)
+                     commutator_witness, generates, parse_group, sym)
 from .orbifold import (CyclicDataSet, Signature, cyclic_data_set,
                        enumerate_signatures, parse_cyclic, rh_genus, signature,
                        validate_cyclic)
@@ -19,9 +18,8 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_form,
                        dataset, equivalent, format_dataset, parse_dataset,
                        validate)
 from .vectors import (GeneratingVector, SearchBudget, enumerate_vectors,
-                      enumerate_weak_classes, shortcut_class_multiset)
-from .factors import (cyclic_factor, fixed_point_count,
-                      fixed_point_profile, max_order_bound,
+                      enumerate_weak_classes)
+from .factors import (cyclic_factor, fixed_point_count, fixed_point_profile,
                       obstruction_report, standard_factors, weakly_generates)
 from .lifting import (InvolutionDescent, LiftVerdict, admissible_permutations,
                       decide_lift, free_action_analysis, index2_restrict,
@@ -30,15 +28,14 @@ from .lifting import (InvolutionDescent, LiftVerdict, admissible_permutations,
 __all__ = [
     "CycleType", "Perm", "parse_perm",
     "GroupSpec", "alt", "alt_c2", "sym", "parse_group", "are_conjugate",
-    "centralizer_order", "class_splits", "commutator_witness", "generates",
+    "centralizer_order", "commutator_witness", "generates",
     "CyclicDataSet", "Signature", "cyclic_data_set", "enumerate_signatures",
     "parse_cyclic", "rh_genus", "signature", "validate_cyclic",
     "ALTERNATING", "SYMMETRIC", "GroupDataSet", "canonical_form", "dataset",
     "equivalent", "format_dataset", "parse_dataset", "validate",
     "GeneratingVector", "SearchBudget", "enumerate_vectors",
-    "enumerate_weak_classes", "shortcut_class_multiset",
+    "enumerate_weak_classes",
     "cyclic_factor", "fixed_point_count", "fixed_point_profile",
-    "max_order_bound",
     "obstruction_report", "standard_factors", "weakly_generates",
     "InvolutionDescent", "LiftVerdict", "admissible_permutations",
     "decide_lift", "free_action_analysis", "index2_restrict", "psi_map",

@@ -18,16 +18,16 @@ from . import __version__
 from . import cache as result_cache
 from .datasets import (ALTERNATING, SYMMETRIC, canonical_form, format_dataset,
                        parse_dataset, validate)
-from .errors import (BudgetExhausted, GenusMismatch, NegativeMultiplicityError,
-                     NonIntegralError, ParseError, ValidationFailure)
-from .factors import cyclic_factor, obstruction_report, standard_factors
+from .errors import (BudgetExhausted, NegativeMultiplicityError,
+                     NonIntegralError, ParseError, SactError)
+from .factors import (cyclic_factor, obstruction_report, standard_factors,
+                      weakly_generates)
 from .groups import ALT, SYM, GroupSpec, parse_group
 from .lifting import (InvolutionDescent, decide_lift, free_action_analysis,
                       self_normalizing)
 from .orbifold import parse_cyclic
 from .perm import parse_perm
 from .vectors import SearchBudget, enumerate_weak_classes
-from .factors import weakly_generates
 
 EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 2, 3, 4
 
@@ -116,6 +116,15 @@ def _kind_of(spec: GroupSpec) -> str:
     return ALTERNATING if spec.family == ALT else SYMMETRIC
 
 
+def _dataset_group(args) -> GroupSpec:
+    """The --group of a command that works on data sets, i.e. not AxC2n."""
+    spec = parse_group(args.group)
+    if spec.family not in (ALT, SYM):
+        raise ParseError(f"{args.command} needs A<n> or S<n>: {spec.name} classes "
+                         "have no data-set form")
+    return spec
+
+
 def classify_group_rows(family: str, n: int, genus: int,
                         budget_nodes, budget_seconds) -> dict:
     """Rows for one group; module-level so worker processes can run it."""
@@ -165,28 +174,13 @@ def _classify_targets(args):
 def cmd_classify(args) -> int:
     targets = _classify_targets(args)
     all_rows, complete = [], True
-
-    def run(target):
-        family, n = target
-        key = {"command": "classify", "family": family, "n": n,
-               "genus": args.genus, "version": __version__,
-               "budget_nodes": args.budget_nodes,
-               "budget_seconds": args.budget_seconds}
-        hit = result_cache.load(args.cache_dir, key)
-        if hit is not None:
-            return {"rows": hit["rows"], "complete": True}
-        out = classify_group_rows(family, n, args.genus,
-                                  args.budget_nodes, args.budget_seconds)
-        result_cache.store(args.cache_dir, key, out)
-        return out
-
+    packed = [(f, n, args.genus, args.budget_nodes, args.budget_seconds, args.cache_dir)
+              for f, n in targets]
     if args.jobs > 1 and len(targets) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outs = list(pool.map(_classify_worker,
-                                 [(f, n, args.genus, args.budget_nodes,
-                                   args.budget_seconds, args.cache_dir) for f, n in targets]))
+            outs = list(pool.map(_classify_worker, packed))
     else:
-        outs = [run(t) for t in targets]
+        outs = [_classify_worker(p) for p in packed]
     for out in outs:
         all_rows.extend(out["rows"])
         complete = complete and out["complete"]
@@ -217,7 +211,7 @@ def _classify_worker(packed):
 
 
 def cmd_weakgen(args) -> int:
-    spec = parse_group(args.group)
+    spec = _dataset_group(args)
     d_f, d_g = parse_cyclic(args.df), parse_cyclic(args.dg)
     witness = weakly_generates(d_f, d_g, spec, budget=_budget(args))
     if witness is None:
@@ -235,7 +229,7 @@ def cmd_weakgen(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    spec = parse_group(args.group)
+    spec = _dataset_group(args)
     ds = parse_dataset(args.ds, _kind_of(spec))
     validate(ds, structure_only=True)
     payload = {"command": "factor", "group": spec.name, "data_set": format_dataset(ds)}
@@ -287,7 +281,7 @@ def cmd_free(args) -> int:
 
 
 def cmd_obstructions(args) -> int:
-    spec = parse_group(args.group)
+    spec = _dataset_group(args)
     report = obstruction_report(spec, args.genus, budget=_budget(args))
     payload = dict(report.to_json())
     payload["command"] = "obstructions"
@@ -348,15 +342,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationFailure, GenusMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExhausted as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NonIntegralError, NegativeMultiplicityError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except SactError as exc:  # every other package error is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

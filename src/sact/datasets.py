@@ -15,14 +15,13 @@ Text grammar: ``(n,g0;[(1 2)(3 4),2;2,2]^[2],[(1 2 3 4 5),5;5],...)`` with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import KindMismatch, ParseError, ValidationFailure
-from .groups import (ALT, SYM, GroupSpec, commutator_witness,
-                     commutator_witnesses, flip_label, generates, group_table,
-                     split_label)
-from .orbifold import Signature, rh_genus
+from .groups import (ALT, SYM, GroupSpec, commutator_witnesses, flip_label,
+                     generates, group_table, split_label, subgroup_order)
+from .orbifold import Signature, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
 ALTERNATING = "A"
@@ -57,10 +56,6 @@ class GroupDataSet:
     def spec(self) -> GroupSpec:
         return GroupSpec(ALT if self.kind == ALTERNATING else SYM, self.n)
 
-    @property
-    def r(self) -> int:
-        return sum(e.mult for e in self.entries)
-
     def expanded(self) -> list:
         """Entry representatives repeated by multiplicity, in stored order."""
         return [e.rep for e in self.entries for _ in range(e.mult)]
@@ -74,10 +69,6 @@ class GroupDataSet:
     def signature(self) -> Signature:
         periods = sorted(e.order for e in self.entries for _ in range(e.mult))
         return Signature(self.g0, tuple(periods))
-
-    def labels(self) -> list:
-        """Split-class tag per expanded entry (alternating kind only)."""
-        return [split_label(rep) for rep in self.expanded()]
 
     def __str__(self) -> str:
         return format_dataset(self)
@@ -149,34 +140,53 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
             raise ValidationFailure("parity", "entry product is odd with g0 >= 2")
         if ds.kind == ALTERNATING and ds.n == 4:
             # commutators of Alt(4) fill only V_4, so solvability needs a witness
-            if handle_chain_witness(ds) is None:
+            if next(handle_solutions(spec, ds.g0, reps, ds.product()), None) is None:
                 raise ValidationFailure("witness", "handle relation unsatisfiable in Alt(4)")
     return g
 
 
-def find_handle_witnesses(ds: GroupDataSet):
-    """Search a pair (w1, w2) with product = w2 w1 w2^-1 w1^-1 and joint
-    generation; None when the exhaustive scan finds none."""
-    spec = ds.spec
-    reps = ds.expanded()
-    target = ds.product()
-    for w2, w1 in commutator_witnesses(spec, target):
-        if generates(spec, reps + [w1, w2]):
-            return (w1, w2)
-    return None
+def handle_solutions(spec: GroupSpec, g0: int, elliptic: Sequence[Perm],
+                     product: Perm, tick: Optional[Callable[[], None]] = None
+                     ) -> Iterator[tuple]:
+    """All handle tuples closing s_1 .. s_r [a_1,b_1] .. [a_g0,b_g0] = 1.
 
-
-def handle_chain_witness(ds: GroupDataSet):
-    """For g0 >= 2: handle images ((s,t),(r1,r2),1,...) closing the long
-    relation, with (s,t) the standard generating pair.  None if impossible."""
-    spec = ds.spec
+    `product` is s_1 .. s_r, the product of the `elliptic` images.  g0 = 0
+    yields () when the product is trivial and the elliptics generate; g0 = 1
+    scans every commutator presentation of the product and keeps those that
+    generate together with the elliptics; g0 >= 2 pins the first pair to the
+    standard generators (generation for free), scans commutator
+    presentations for the second pair and pads the rest with identity pairs.
+    The scans are exhaustive, so an empty result is a proof of absence.
+    `tick` runs once per scanned presentation.
+    """
+    if g0 == 0:
+        if product.is_identity() and \
+                subgroup_order(list(elliptic), spec.degree) == spec.order:
+            yield ()
+        return
+    if g0 == 1:
+        for r1, r2 in commutator_witnesses(spec, product):
+            if tick is not None:
+                tick()
+            if subgroup_order(list(elliptic) + [r1, r2], spec.degree) == spec.order:
+                # product = [r1, r2] closes s_1..s_r [a,b] = 1 with (a,b) = (r2, r1)
+                yield ((r2, r1),)
+        return
     s, t = spec.standard_generators()
     first = s * t * s.inverse() * t.inverse()
-    target = first.inverse() * ds.product().inverse()
-    wit = commutator_witness(spec, target)
-    if wit is None:
-        return None
-    return ((s, t), wit)
+    target = first.inverse() * product.inverse()
+    idpair = (Perm.identity(spec.degree), Perm.identity(spec.degree))
+    for r1, r2 in commutator_witnesses(spec, target):
+        if tick is not None:
+            tick()
+        yield ((s, t), (r1, r2)) + (idpair,) * (g0 - 2)
+
+
+def find_handle_witnesses(ds: GroupDataSet):
+    """A g0 = 1 handle pair (w1, w2) with product = w2 w1 w2^-1 w1^-1 and
+    joint generation; None when the exhaustive scan finds none."""
+    handles = next(handle_solutions(ds.spec, 1, ds.expanded(), ds.product()), None)
+    return None if handles is None else handles[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +266,8 @@ def canonical_form(ds: GroupDataSet) -> GroupDataSet:
     else:
         chosen = plain
 
-    entries = []
-    for m, ct, label in chosen:
-        rep = class_representative(ds.kind, ds.n, ct, label)
-        if entries and entries[-1].rep == rep:
-            entries[-1] = replace(entries[-1], mult=entries[-1].mult + 1)
-        else:
-            entries.append(make_entry(rep))
-    return GroupDataSet(ds.kind, ds.n, ds.g0, tuple(entries), witnesses=None)
+    reps = [class_representative(ds.kind, ds.n, ct, label) for _, ct, label in chosen]
+    return dataset(ds.kind, ds.n, ds.g0, run_lengths(reps))
 
 
 # ---------------------------------------------------------------------------

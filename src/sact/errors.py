@@ -34,7 +34,7 @@ class NotIndexTwo(SactError):
 
 
 class NotApplicable(SactError):
-    """A shortcut was invoked outside its preconditions."""
+    """An operation was invoked outside its preconditions."""
 
 
 class NonIntegralError(SactError):

@@ -198,27 +198,6 @@ def max_element_order(spec: GroupSpec) -> int:
     return max(spec.element_orders())
 
 
-def max_order_bound(spec: GroupSpec, g: int,
-                    budget: Optional[SearchBudget] = None) -> dict:
-    """Exact largest element order plus the Hurwitz-side numbers and a
-    sweep certificate that no action at genus g exceeds it."""
-    landau = max_element_order(spec)
-    classes = enumerate_weak_classes(spec, g, budget, raise_on_budget=True)
-    observed = max(spec.element_orders()) if classes.items else 0
-    certified = observed <= landau
-    return {
-        "group": spec.name,
-        "genus": g,
-        "landau": landau,
-        "certified": certified,
-        "group_order": spec.order,
-        "hurwitz_order_bound": 84 * (g - 1),
-        "order_over_landau": Fraction(spec.order, landau),
-        "genus_over_landau": Fraction(g, landau),
-        "classes": len(classes.items),
-    }
-
-
 @dataclass
 class ObstructionReport:
     spec: GroupSpec

@@ -178,11 +178,6 @@ def conjugator_in_sym(a: Perm, b: Perm) -> Optional[Perm]:
     return Perm(images)
 
 
-def class_splits(t: CycleType) -> bool:
-    """Whether the Sym-class of this type breaks into two Alt-classes."""
-    return t.splits()
-
-
 def split_label(p: Perm) -> str:
     """Tag an even permutation: "whole", or "plus"/"minus" for split types.
 
@@ -442,9 +437,6 @@ class GroupTable:
     def class_id(self, p: Perm) -> int:
         return self._class_of[p]
 
-    def class_of(self, p: Perm) -> ConjClass:
-        return self.classes[self._class_of[p]]
-
     def centralizer(self, p: Perm) -> tuple:
         return tuple(z for z in self.elements if z * p == p * z)
 
@@ -457,12 +449,6 @@ class GroupTable:
             out = frozenset(self._class_of[rep * b] for b in self.classes[j].elements)
             self._support_cache[(i, j)] = out
             return out
-
-    def support_after(self, ids: frozenset, j: int) -> frozenset:
-        out = set()
-        for i in ids:
-            out |= self.product_support(i, j)
-        return frozenset(out)
 
     def commutator_class_ids(self) -> frozenset:
         """Class ids of single commutators [a, b]."""

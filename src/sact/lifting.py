@@ -28,17 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
-                       make_entry, validate)
+from .datasets import ALTERNATING, SYMMETRIC, GroupDataSet, dataset, validate
 from .errors import (BudgetExhausted, GenusMismatch, NotIndexTwo,
                      ValidationFailure)
-from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, group_table,
-                     split_alt_c2, split_label)
+from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2,
+                     split_label)
 from .orbifold import (CyclicDataSet, Signature, cyclic_data_set, rh_genus,
                        validate_cyclic)
 from .perm import Perm
-from .vectors import (GeneratingVector, SearchBudget, _Clock,
-                      _vectors_for_classes, enumerate_weak_classes,
+from .vectors import (GeneratingVector, SearchBudget, enumerate_weak_classes,
                       materialize_vector, resolved_representative)
 
 
@@ -82,8 +80,8 @@ def index2_restrict(v: GeneratingVector) -> Restriction:
     """Descend a Sym(n) or Alt(n) x C_2 vector to its alternating half.
 
     Cone points are emitted in parent-entry order, pair first; the returned
-    data set is re-solved inside the same per-position classes so that its
-    product relation holds.
+    data set is resolved inside the same per-position classes so that its
+    product relation holds (see resolved_representative).
     """
     spec = v.spec
     in_sub, project, odd_conj = _coset_data(spec)
@@ -118,13 +116,8 @@ def index2_restrict(v: GeneratingVector) -> Restriction:
     if validate_cyclic(d) != g0_prime:
         raise ValidationFailure("congruence", "descended involution class is inconsistent")
 
-    table = group_table(alt_spec)
-    ids = [table.class_id(rep) for rep, _ in cones]
-    resolved = next(_vectors_for_classes(alt_spec, g0_prime, ids, _Clock(None)), None)
-    assert resolved is not None, "descended class tuple must be realizable"
-    witnesses = resolved.handles[0] if g0_prime == 1 else None
-    entries = tuple(make_entry(rep) for rep in resolved.elliptic)
-    alt_ds = GroupDataSet(ALTERNATING, n, g0_prime, entries, witnesses)
+    alt_ds = resolved_representative(
+        dataset(ALTERNATING, n, g0_prime, [rep for rep, _ in cones]))
 
     perm = Perm.from_cycles(pairing, len(cones))
     return Restriction(alt_ds, InvolutionDescent(d, perm), g)

@@ -10,6 +10,7 @@ Text grammars:
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -163,18 +164,14 @@ def validate_cyclic(d: CyclicDataSet) -> int:
 # text and JSON forms
 
 
+def run_lengths(items: Sequence) -> list:
+    """[(item, count)] for each run of equal consecutive items, in order."""
+    return [(item, len(list(run))) for item, run in itertools.groupby(items)]
+
+
 def _format_cones(cones) -> str:
-    parts = []
-    i = 0
-    while i < len(cones):
-        j = i
-        while j < len(cones) and cones[j] == cones[i]:
-            j += 1
-        c, m = cones[i]
-        mult = j - i
-        parts.append(f"({c},{m})" + (f"^[{mult}]" if mult > 1 else ""))
-        i = j
-    return ",".join(parts)
+    return ",".join(f"({c},{m})" + (f"^[{mult}]" if mult > 1 else "")
+                    for (c, m), mult in run_lengths(cones))
 
 
 _CONE_RE = re.compile(r"\((\d+),(\d+)\)(?:\^\[(\d+)\])?")
@@ -205,14 +202,7 @@ def parse_cyclic(text: str) -> CyclicDataSet:
 
 
 def cyclic_to_json(d: CyclicDataSet) -> dict:
-    cones = []
-    i = 0
-    while i < len(d.cones):
-        j = i
-        while j < len(d.cones) and d.cones[j] == d.cones[i]:
-            j += 1
-        cones.append({"c": d.cones[i][0], "m": d.cones[i][1], "mult": j - i})
-        i = j
+    cones = [{"c": c, "m": m, "mult": mult} for (c, m), mult in run_lengths(d.cones)]
     return {"degree": d.degree, "genus0": d.g0, "cones": cones}
 
 

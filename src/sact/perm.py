@@ -88,10 +88,6 @@ class Perm:
             k >>= 1
         return result
 
-    def conjugated_by(self, h: "Perm") -> "Perm":
-        """Return h * self * h^-1."""
-        return h * self * h.inverse()
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images, start=1))
 
@@ -121,9 +117,6 @@ class Perm:
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
-    def support(self) -> tuple:
-        return tuple(i for i in range(1, self.degree + 1) if self.images[i - 1] != i)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

@@ -11,7 +11,8 @@ and joint generation of the whole group.
 The search is keyed by conjugacy-class tuples first: per-position class
 choices are pruned by exact class-product reachability, then representatives
 are filled in by depth-first search with the last elliptic forced (quotient
-genus 0) or the handles solved by an exhaustive commutator scan (genus >= 1).
+genus 0) or the handles solved by an exhaustive commutator scan (genus >= 1,
+datasets.handle_solutions).
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """
@@ -24,12 +25,12 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
-                       find_handle_witnesses, handle_chain_witness, validate)
+                       handle_solutions, validate)
 from .errors import (BudgetExhausted, NotApplicable, ParseError,
                      PeriodNotRealizable, ValidationFailure)
-from .groups import (ALT, ALT_C2, SYM, GroupSpec, commutator_witnesses,
-                     flip_label, group_table, subgroup_order)
-from .orbifold import Signature, enumerate_signatures
+from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, group_table,
+                     subgroup_order)
+from .orbifold import Signature, enumerate_signatures, run_lengths
 from .perm import Perm
 
 
@@ -124,35 +125,6 @@ def _feasible_end_ids(table, g0: int) -> frozenset:
     return frozenset(range(len(table.classes)))
 
 
-def _handle_assignments(spec: GroupSpec, g0: int, product: Perm,
-                        elliptic: Sequence[Perm], clock: _Clock) -> Iterator[tuple]:
-    """All handle tuples closing the long relation, with joint generation.
-
-    g0 = 1 scans every commutator presentation of the product; g0 >= 2 pins
-    the first handle pair to the standard generators (generation for free)
-    and scans commutator presentations for the second pair.
-    """
-    if g0 == 0:
-        if product.is_identity() and \
-                subgroup_order(list(elliptic), spec.degree) == spec.order:
-            yield ()
-        return
-    if g0 == 1:
-        for r1, r2 in commutator_witnesses(spec, product):
-            clock.tick()
-            if subgroup_order(list(elliptic) + [r1, r2], spec.degree) == spec.order:
-                # product = [r1, r2] closes s_1..s_r [a,b] = 1 with (a,b) = (r2, r1)
-                yield ((r2, r1),)
-        return
-    s, t = spec.standard_generators()
-    first = s * t * s.inverse() * t.inverse()
-    target = first.inverse() * product.inverse()
-    idpair = (Perm.identity(spec.degree), Perm.identity(spec.degree))
-    for r1, r2 in commutator_witnesses(spec, target):
-        clock.tick()
-        yield ((s, t), (r1, r2)) + (idpair,) * (g0 - 2)
-
-
 def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
                          clock: _Clock, normalize_first: bool = False
                          ) -> Iterator[GeneratingVector]:
@@ -186,7 +158,7 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
         product = identity
         for x in chosen:
             product = product * x
-        for handles in _handle_assignments(spec, g0, product, chosen, clock):
+        for handles in handle_solutions(spec, g0, chosen, product, clock.tick):
             yield GeneratingVector(spec, sig, tuple(chosen), handles)
 
     def dfs(i: int, partial: Perm):
@@ -283,20 +255,12 @@ def materialize_vector(ds: GroupDataSet) -> GeneratingVector:
     reps = ds.expanded()
     periods = tuple(sorted(rep.order() for rep in reps))
     sig = Signature(ds.g0, periods)
-    if ds.g0 == 0:
-        handles = ()
-    elif ds.g0 == 1:
-        pair = ds.witnesses or find_handle_witnesses(ds)
-        if pair is None:
-            raise NotApplicable("data set has no handle witnesses")
-        handles = (pair,)
+    if ds.g0 == 1 and ds.witnesses:
+        handles = (ds.witnesses,)
     else:
-        chain = handle_chain_witness(ds)
-        if chain is None:
-            raise NotApplicable("handle relation unsatisfiable")
-        (s, t), (r1, r2) = chain
-        idpair = (Perm.identity(spec.degree), Perm.identity(spec.degree))
-        handles = ((s, t), (r1, r2)) + (idpair,) * (ds.g0 - 2)
+        handles = next(handle_solutions(spec, ds.g0, reps, ds.product()), None)
+        if handles is None:
+            raise NotApplicable("no handle images close the relation")
     # keep the stored entry order: the product relation depends on it
     vec = GeneratingVector(spec, sig, tuple(reps), handles)
     assert vec.long_relation_value().is_identity()
@@ -353,14 +317,8 @@ def _canonical_key(spec: GroupSpec, table, ids: Sequence[int]) -> tuple:
 def dataset_from_vector(vec: GeneratingVector) -> GroupDataSet:
     kind = ALTERNATING if vec.spec.family == ALT else SYMMETRIC
     witnesses = vec.handles[0] if vec.sig.g0 == 1 else None
-    groups = []
-    for rep in vec.elliptic:
-        if groups and groups[-1][0] == rep:
-            groups[-1][1] += 1
-        else:
-            groups.append([rep, 1])
-    return dataset(kind, vec.spec.n, vec.sig.g0,
-                   [(rep, mult) for rep, mult in groups], witnesses=witnesses)
+    return dataset(kind, vec.spec.n, vec.sig.g0, run_lengths(vec.elliptic),
+                   witnesses=witnesses)
 
 
 def enumerate_weak_classes(spec: GroupSpec, g: int,
@@ -379,7 +337,7 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
     orders = spec.element_orders()
     result = WeakClassList()
     try:
-        for sig in sigs:
+        for i, sig in enumerate(sigs):
             if any(m not in orders for m in sig.periods):
                 continue
             seen = set()
@@ -396,43 +354,9 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
                 result.items.append(WeakClass(spec, sig, key, vec, ds))
     except BudgetExhausted as exc:
         result.complete = False
-        result.incomplete_signatures = [str(s) for s in sigs]
+        result.incomplete_signatures = [str(s) for s in sigs[i:]]
         if raise_on_budget:
             exc.partial = result
             raise
     result.items.sort(key=WeakClass.sort_token)
     return result
-
-
-def shortcut_class_multiset(spec: GroupSpec, sig: Signature) -> list:
-    """Quotient genus >= 2 shortcut: no vector search is needed.
-
-    Every class multiset with matching orders is realizable for Alt(n >= 5)
-    (the handles absorb any product), and for Sym(n >= 3) exactly when the
-    forced product parity is even.  Returns the data sets directly.
-    """
-    if sig.g0 < 2:
-        raise NotApplicable("shortcut needs quotient genus >= 2")
-    if not (spec.family == ALT and spec.n >= 5) and not (spec.family == SYM and spec.n >= 3):
-        raise NotApplicable(f"shortcut does not cover {spec.name}")
-    orders = spec.element_orders()
-    for m in sig.periods:
-        if m not in orders:
-            raise PeriodNotRealizable(f"{spec.name} has no element of order {m}")
-    table = group_table(spec)
-    kind = ALTERNATING if spec.family == ALT else SYMMETRIC
-    out = []
-    seen = set()
-    for ids in _class_tuples(table, sig.periods):
-        key = _canonical_key(spec, table, ids)
-        if key in seen:
-            continue
-        seen.add(key)
-        reps = [table.classes[i].rep for i in ids]
-        if kind == SYMMETRIC:
-            odd = sum(1 for rep in reps if not rep.is_even())
-            if odd % 2 == 1:
-                continue
-        out.append(dataset(kind, spec.n, sig.g0, reps))
-    out.sort(key=str)
-    return out

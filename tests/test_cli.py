@@ -135,6 +135,27 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # an element outside the group
+    ["factor", "--group", "A5", "--element", "(1 2)",
+     "--ds", "(5,0;[(1 2)(3 4),2;2,2]^[2],[(1 5 4 3 2),5;5],[(1 2 3 4 5),5;5])"],
+    # a group above the element-table cap
+    ["classify", "--group", "A12", "--genus", "10"],
+    # AxC2n classes have no data-set form to read, sweep or search
+    ["factor", "--group", "AxC24", "--standard",
+     "--ds", "(4,0;[(1 2)(3 4),2;2,2]^[2],[(1 2 3),3;3],[(1 3 2),3;3])"],
+    ["obstructions", "--group", "AxC24", "--genus", "7"],
+    ["weakgen", "--group", "AxC24", "--df", "(2,0;(1,2)^[16])",
+     "--dg", "(2,0;(1,2)^[16])"],
+])
+def test_input_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SACT_FORMAT", "json")
     code, out, _ = run(capsys, "free", "--n", "5", "--genus", "100")

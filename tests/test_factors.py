@@ -8,8 +8,8 @@ from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
 from sact.errors import GenusMismatch, MembershipError
 from sact.factors import (cyclic_factor, fixed_point_count,
                           fixed_point_profile, max_element_order,
-                          max_order_bound, obstruction_report,
-                          standard_factors, weakly_generates)
+                          obstruction_report, standard_factors,
+                          weakly_generates)
 from sact.groups import alt, alt_c2, group_table, sym
 from sact.orbifold import cyclic_data_set, parse_cyclic, validate_cyclic
 from sact.perm import parse_perm
@@ -158,14 +158,6 @@ def test_max_element_order():
     assert max_element_order(alt(6)) == 5
     assert max_element_order(sym(4)) == 4
     assert max_element_order(alt_c2(5)) == 10
-
-
-def test_max_order_bound_report():
-    report = max_order_bound(sym(4), 10)
-    assert report["landau"] == 4
-    assert report["certified"]
-    assert report["hurwitz_order_bound"] == 756
-    assert report["classes"] == 2
 
 
 @pytest.mark.parametrize("spec,g", [(alt(5), 10), (alt(6), 10), (sym(4), 10),

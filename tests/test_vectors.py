@@ -5,14 +5,14 @@ import pytest
 from golden import GENUS10_ROWS, GENUS11_ROWS, TETRAHEDRAL_A
 from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
                            equivalent, parse_dataset, validate)
-from sact.errors import BudgetExhausted, NotApplicable, PeriodNotRealizable
+from sact.errors import BudgetExhausted, PeriodNotRealizable, ValidationFailure
 from sact.groups import alt, alt_c2, group_table, subgroup_order, sym
 from sact.orbifold import enumerate_signatures, signature
 from sact.perm import Perm
 from sact.vectors import (SearchBudget, dataset_from_vector,
                           enumerate_vectors, enumerate_weak_classes,
-                          materialize_vector, shortcut_class_multiset,
-                          validate_vector, vectors_for_dataset)
+                          materialize_vector, validate_vector,
+                          vectors_for_dataset)
 
 
 def test_enumerate_vectors_basic():
@@ -132,32 +132,43 @@ def test_alt_c2_classes_are_vectors():
         assert validate_vector(item.vector)
 
 
+def canonical_rows(spec, g, sig):
+    res = enumerate_weak_classes(spec, g, signatures=[sig])
+    assert res.complete
+    return [str(canonical_form(item.ds)) for item in res.items]
+
+
 def test_shortcut_agrees_with_search():
-    # free symmetric action on genus 25 over Sym(4): one class either way
-    sig = signature(2, [])
-    fast = shortcut_class_multiset(sym(4), sig)
-    slow = enumerate_weak_classes(sym(4), 25, signatures=[sig])
-    assert len(fast) == len(slow.items) == 1
-    assert equivalent(fast[0], slow.items[0].ds)
-    # one order-2 cone on a genus-2 quotient: V-class survives, T-class is odd
-    sig = signature(2, [2])
-    fast = shortcut_class_multiset(sym(4), sig)
-    slow = enumerate_weak_classes(sym(4), 31, signatures=[sig])
-    assert {canonical_form(d) for d in fast} == \
-           {canonical_form(item.ds) for item in slow.items}
-    assert len(fast) == 1
-
-
-def test_shortcut_not_applicable():
-    with pytest.raises(NotApplicable):
-        shortcut_class_multiset(alt(4), signature(2, [2]))
-    with pytest.raises(NotApplicable):
-        shortcut_class_multiset(sym(4), signature(0, [2, 2, 2, 2, 4]))
+    """On a genus >= 2 quotient the search returns exactly the class
+    multisets with matching orders and even product (the parity shortcut)."""
+    # free symmetric action on genus 25 over Sym(4): one class
+    assert canonical_rows(sym(4), 25, signature(2, [])) == ["(4,2;-)"]
+    # one order-2 cone on a genus-2 quotient: the V-class survives, the
+    # transposition class has odd product and is excluded
+    assert canonical_rows(sym(4), 31, signature(2, [2])) == \
+        ["(4,2;[(1 2)(3 4),2;2,2])"]
 
 
 def test_shortcut_excludes_odd_parity():
-    out = shortcut_class_multiset(sym(3), signature(2, [2]))
-    assert out == []  # a single transposition entry has odd product
+    # a single transposition entry has odd product: Sym(3) (2;2) has no
+    # class at any genus, and Sym(4) rejects the transposition data set
+    for g in range(5, 12):
+        assert canonical_rows(sym(3), g, signature(2, [2])) == []
+    with pytest.raises(ValidationFailure) as err:
+        validate(parse_dataset("(4,2;[(1 2),2;2])", SYMMETRIC))
+    assert err.value.condition == "parity"
+
+
+def test_alt4_genus2_quotient_needs_product_in_v4():
+    # commutators of Alt(4) fill only V_4: an involution entry closes the
+    # handle relation, a single 3-cycle does not
+    assert canonical_rows(alt(4), 16, signature(2, [2])) == \
+        ["(4,2;[(1 2)(3 4),2;2,2])"]
+    assert canonical_rows(alt(4), 17, signature(2, [3])) == []
+    assert validate(parse_dataset("(4,2;[(1 2)(3 4),2;2,2])", ALTERNATING)) == 16
+    with pytest.raises(ValidationFailure) as err:
+        validate(parse_dataset("(4,2;[(1 2 3),3;3])", ALTERNATING))
+    assert err.value.condition == "witness"
 
 
 def test_budget_exhaustion_is_reported():
@@ -166,6 +177,21 @@ def test_budget_exhaustion_is_reported():
     with pytest.raises(BudgetExhausted):
         enumerate_weak_classes(sym(4), 10, budget=SearchBudget(max_nodes=5),
                                raise_on_budget=True)
+
+
+@pytest.mark.parametrize("spec,g,nodes,unfinished", [
+    (alt(4), 10, 498, ["(1;2,2,2)"]),
+    (alt_c2(4), 7, 372, ["(1;2)"]),
+    (sym(4), 10, 58, ["(0;2,4,4,4)", "(0;3,3,3,4)", "(1;4)"]),
+], ids=["A4@10", "AxC24@7", "S4@10"])
+def test_node_budget_is_exact(spec, g, nodes, unfinished):
+    """Each DFS node and each scanned commutator presentation of a g0 = 1
+    handle search costs one node, so these are the smallest complete budgets.
+    A stopped run names only the interrupted signature and those after it."""
+    res = enumerate_weak_classes(spec, g, budget=SearchBudget(max_nodes=nodes - 1))
+    assert not res.complete
+    assert res.incomplete_signatures == unfinished
+    assert enumerate_weak_classes(spec, g, budget=SearchBudget(max_nodes=nodes)).complete
 
 
 def test_materialize_and_variants():
@@ -206,12 +232,12 @@ def test_realizability_is_arrangement_independent():
     assert any_order_keys == sorted_keys
 
 
-def test_shortcut_free_actions_and_family_case():
-    out = shortcut_class_multiset(alt(5), signature(2, []))
-    assert len(out) == 1 and str(out[0]) == "(5,2;-)"
-    out = shortcut_class_multiset(alt(5), signature(4, []))
-    assert len(out) == 1 and str(out[0]) == "(5,4;-)"
-    # two odd triple-transposition entries on a genus-2 quotient over Sym(6)
-    out = shortcut_class_multiset(sym(6), signature(2, [2, 2]))
+def test_free_actions_and_family_case():
+    assert canonical_rows(alt(5), 61, signature(2, [])) == ["(5,2;-)"]
+    assert canonical_rows(alt(5), 181, signature(4, [])) == ["(5,4;-)"]
+    # two odd triple-transposition entries on a genus-2 quotient over Sym(6);
+    # of the six involution-type pairs, the four with even product survive
+    rows = canonical_rows(sym(6), 1081, signature(2, [2, 2]))
     family = parse_dataset("(6,2;[(1 2)(3 4)(5 6),2;2,2,2]^[2])", SYMMETRIC)
-    assert any(equivalent(ds, family) for ds in out)
+    assert str(canonical_form(family)) in rows
+    assert len(rows) == 4
