@@ -22,15 +22,21 @@ def _path(cache_dir: str, key: dict) -> str:
     return os.path.join(cache_dir, _digest(key) + ".json")
 
 
+def _read(path: str) -> Optional[dict]:
+    """The stored object, or None for a missing, corrupt or truncated file."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
 def load(cache_dir: Optional[str], key: dict) -> Optional[dict]:
     if not cache_dir:
         return None
-    path = _path(cache_dir, key)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("key") != key or not obj.get("complete", False):
+    obj = _read(_path(cache_dir, key))
+    if obj is None or obj.get("key") != key or not obj.get("complete", False):
         return None
     return obj
 
@@ -54,8 +60,9 @@ def info(cache_dir: Optional[str]) -> list:
     for name in sorted(os.listdir(cache_dir)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(cache_dir, name)) as fh:
-            obj = json.load(fh)
+        obj = _read(os.path.join(cache_dir, name))
+        if obj is None:
+            continue
         out.append({"file": name, "key": obj.get("key"),
                     "rows": len(obj.get("rows", []))})
     return out

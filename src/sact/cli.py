@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import os
 import sys
@@ -302,6 +303,15 @@ def cmd_cache(args) -> int:
 # rendering
 
 
+def _print_csv(columns, records) -> None:
+    """An unquoted header, then one row per record with every field quoted
+    (embedded quotes doubled) and written as str() of the value."""
+    print(",".join(columns))
+    writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n")
+    for record in records:
+        writer.writerow([str(record[c]) for c in columns])
+
+
 def _emit(args, payload: dict, columns=None) -> None:
     fmt = args.format
     if fmt == "json":
@@ -310,9 +320,7 @@ def _emit(args, payload: dict, columns=None) -> None:
     rows = payload.get("rows")
     if rows is not None and columns:
         if fmt == "csv":
-            print(",".join(columns))
-            for row in rows:
-                print(",".join('"%s"' % row[c] for c in columns))
+            _print_csv(columns, rows)
         else:
             widths = [max(len(c), *(len(r[c]) for r in rows)) if rows else len(c)
                       for c in columns]
@@ -324,8 +332,7 @@ def _emit(args, payload: dict, columns=None) -> None:
         return
     if fmt == "csv":
         keys = sorted(payload)
-        print(",".join(keys))
-        print(",".join('"%s"' % payload[k] for k in keys))
+        _print_csv(keys, [payload])
         return
     for key in sorted(payload):
         if key == "command":

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import KindMismatch, ParseError, ValidationFailure
 from .groups import (ALT, SYM, GroupSpec, commutator_witnesses, flip_label,
-                     generates, group_table, split_label, subgroup_order)
+                     generates, group_table, spans, split_label)
 from .orbifold import Signature, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
@@ -160,15 +160,14 @@ def handle_solutions(spec: GroupSpec, g0: int, elliptic: Sequence[Perm],
     `tick` runs once per scanned presentation.
     """
     if g0 == 0:
-        if product.is_identity() and \
-                subgroup_order(list(elliptic), spec.degree) == spec.order:
+        if product.is_identity() and spans(spec, elliptic):
             yield ()
         return
     if g0 == 1:
         for r1, r2 in commutator_witnesses(spec, product):
             if tick is not None:
                 tick()
-            if subgroup_order(list(elliptic) + [r1, r2], spec.degree) == spec.order:
+            if spans(spec, list(elliptic) + [r1, r2]):
                 # product = [r1, r2] closes s_1..s_r [a,b] = 1 with (a,b) = (r2, r1)
                 yield ((r2, r1),)
         return

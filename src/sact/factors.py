@@ -28,7 +28,7 @@ from .datasets import GroupDataSet, validate
 from .errors import (GenusMismatch, MembershipError, NegativeMultiplicityError,
                      NonIntegralError)
 from .groups import (GroupSpec, are_conjugate, centralizer_order, group_table,
-                     require_member, subgroup_order)
+                     require_member, spans)
 from .orbifold import CyclicDataSet, cyclic_data_set, validate_cyclic
 from .perm import Perm
 from .vectors import SearchBudget, WeakClassList, enumerate_weak_classes
@@ -184,7 +184,7 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
                 if table.class_id(tau) not in tau_ok or tau in seen:
                     continue
                 seen.update(z * tau * z.inverse() for z in centralizer)
-                if subgroup_order([sigma, tau], spec.degree) == spec.order:
+                if spans(spec, [sigma, tau]):
                     return GenerationWitness(ds, sigma, tau)
     return None
 

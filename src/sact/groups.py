@@ -355,6 +355,73 @@ def subgroup_order(gens: Sequence[Perm], degree: int) -> int:
             return order
 
 
+def _orbit_of_1(gens: Sequence[Perm]) -> set:
+    orbit = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g.images[x - 1]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _minimal_block_is_whole(gens: Sequence[Perm], n: int, k: int) -> bool:
+    """Whether the smallest block of <gens> on {1..n} holding 1 and k is
+    all of {1..n} (Atkinson's closure; <gens> must be transitive there).
+
+    Every merge of two blocks forces the merge of their images under each
+    generator; the forced pairs are closed on a union-find.
+    """
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parent[k] = 1
+    merges = 1
+    pending = [(1, k)]
+    while pending:
+        a, b = pending.pop()
+        for g in gens:
+            ga, gb = g.images[a - 1], g.images[b - 1]
+            ra, rb = find(ga), find(gb)
+            if ra != rb:
+                parent[rb] = ra
+                merges += 1
+                if merges == n - 1:
+                    return True
+                pending.append((ga, gb))
+    return merges == n - 1
+
+
+def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:
+    """Whether gens generate the whole of spec's group.  Exact.
+
+    Cheap necessary conditions run first, and each failure is a proof:
+    <gens> must have the group's orbits ({1..n}, plus {n+1, n+2} for
+    Alt(n) x C_2), must not lie in Alt(n) when the group is Sym(n), and
+    must act primitively on {1..n}, as Sym(n), Alt(n) and the Alt(n) factor
+    do.  Only then does Schreier-Sims compare orders.
+    """
+    n = spec.n
+    if _orbit_of_1(gens) != set(range(1, n + 1)):
+        return False
+    if spec.family == ALT_C2 and not any(g.images[n] == n + 2 for g in gens):
+        return False
+    if spec.family == SYM and all(g.is_even() for g in gens):
+        return False
+    for k in range(2, n + 1):
+        if not _minimal_block_is_whole(gens, n, k):
+            return False
+    return subgroup_order(gens, spec.degree) == spec.order
+
+
 def generates(spec: GroupSpec, elems: Iterable[Perm], degree_cap: int = DEGREE_CAP) -> bool:
     """Whether the given elements generate the whole group.  Exact."""
     elems = list(elems)
@@ -362,7 +429,7 @@ def generates(spec: GroupSpec, elems: Iterable[Perm], degree_cap: int = DEGREE_C
         require_member(spec, p)
     if spec.degree > degree_cap:
         raise DegreeCapExceeded(f"degree {spec.degree} above cap {degree_cap}")
-    return subgroup_order(elems, spec.degree) == spec.order
+    return spans(spec, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +469,7 @@ class GroupTable:
         for ci, cl in enumerate(self.classes):
             self.classes_by_order.setdefault(cl.rep.order(), []).append(ci)
         self._support_cache = {}
+        self._closure_cache = {}
         self._commutator_class_ids = None
 
     def _build_elements(self):
@@ -449,6 +517,28 @@ class GroupTable:
             out = frozenset(self._class_of[rep * b] for b in self.classes[j].elements)
             self._support_cache[(i, j)] = out
             return out
+
+    def normal_closure(self, ids: Iterable[int]) -> frozenset:
+        """Class ids of the normal subgroup generated by the given classes.
+
+        A union of classes closed under products is a normal subgroup, so
+        the identity class plus ids is closed under product_support.
+        """
+        key = frozenset(ids)
+        closed = self._closure_cache.get(key)
+        if closed is None:
+            members = set(key)
+            members.add(self.identity_class_id())
+            pending = list(members)
+            while pending:
+                i = pending.pop()
+                for j in list(members):
+                    for k in self.product_support(i, j):
+                        if k not in members:
+                            members.add(k)
+                            pending.append(k)
+            closed = self._closure_cache[key] = frozenset(members)
+        return closed
 
     def commutator_class_ids(self) -> frozenset:
         """Class ids of single commutators [a, b]."""

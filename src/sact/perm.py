@@ -31,6 +31,17 @@ class Perm:
             raise ParseError(f"not a bijection of 1..{n}: {images!r}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Perm":
+        """Wrap an image tuple already known to be a bijection of 1..n.
+
+        Skips the bijection check; only products and inverses of valid
+        permutations come through here.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
@@ -66,15 +77,16 @@ class Perm:
         return self.images[x - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
+        images = self.images
+        if len(images) != len(other.images):
             raise ParseError("degree mismatch in product")
-        return Perm(tuple(self.images[i - 1] for i in other.images))
+        return Perm._trusted(tuple([images[i - 1] for i in other.images]))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
+        inv = [0] * len(self.images)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:

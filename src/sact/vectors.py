@@ -8,11 +8,15 @@ subject to the long relation
 
 and joint generation of the whole group.
 
-The search is keyed by conjugacy-class tuples first: per-position class
-choices are pruned by exact class-product reachability, then representatives
-are filled in by depth-first search with the last elliptic forced (quotient
-genus 0) or the handles solved by an exhaustive commutator scan (genus >= 1,
-datasets.handle_solutions).
+The search is keyed by conjugacy-class tuples first.  With quotient genus 0
+a class tuple whose normal closure (GroupTable.normal_closure) is a proper
+normal subgroup cannot generate and is dropped before any search; the rest
+have their per-position class choices pruned by exact class-product
+reachability, then representatives are filled in by depth-first search with
+the last elliptic forced (quotient genus 0) or the handles solved by an
+exhaustive commutator scan (genus >= 1, datasets.handle_solutions).  Every
+generation test goes through groups.spans, whose orbit and block pre-checks
+reject most non-generating vectors before Schreier-Sims runs.
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """
@@ -29,7 +33,7 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
 from .errors import (BudgetExhausted, NotApplicable, ParseError,
                      PeriodNotRealizable, ValidationFailure)
 from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, group_table,
-                     subgroup_order)
+                     spans)
 from .orbifold import Signature, enumerate_signatures, run_lengths
 from .perm import Perm
 
@@ -96,7 +100,7 @@ def validate_vector(v: GeneratingVector) -> bool:
         return False
     if not v.long_relation_value().is_identity():
         return False
-    return subgroup_order(v.all_images(), v.spec.degree) == v.spec.order
+    return spans(v.spec, v.all_images())
 
 
 def _feasible_end_ids(table, g0: int) -> frozenset:
@@ -135,6 +139,9 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
     vector, so this is complete for existence questions.
     """
     table = group_table(spec)
+    if g0 == 0 and len(table.normal_closure(class_ids)) < len(table.classes):
+        # every image lies in a proper normal subgroup: nothing generates
+        return
     r = len(class_ids)
     periods = tuple(sorted(table.classes[c].rep.order() for c in class_ids))
     sig = Signature(g0, periods)

@@ -1,8 +1,10 @@
+import argparse
+import csv
 import json
 
 import pytest
 
-from sact.cli import main
+from sact.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -51,6 +53,33 @@ def test_classify_cache_roundtrip(tmp_path, capsys):
     code4, out4, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path),
                          "--format", "json")
     assert json.loads(out4)["removed"] == 1
+
+
+def test_csv_fields_round_trip(capsys):
+    text = 'a "quoted", comma'
+    _emit(argparse.Namespace(format="csv"),
+          {"rows": [{"x": text, "y": "(1 2)"}]}, columns=["x", "y"])
+    _emit(argparse.Namespace(format="csv"), {"command": "t", "note": text, "v": None})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,y" and lines[2] == "command,note,v"
+    assert next(csv.reader([lines[1]])) == [text, "(1 2)"]
+    assert next(csv.reader([lines[3]])) == ["t", text, "None"]
+    assert lines[3] == '"t","a ""quoted"", comma","None"'
+
+
+def test_corrupt_cache_file_is_a_miss(tmp_path, capsys):
+    args = ["classify", "--genus", "10", "--group", "S4",
+            "--cache-dir", str(tmp_path), "--format", "json"]
+    code1, out1, _ = run(capsys, *args)
+    (entry,) = tmp_path.glob("*.json")
+    for garbage in (entry.read_bytes()[:40], b"\xff\xfe not json"):
+        entry.write_bytes(garbage)
+        code, out, _ = run(capsys, "cache", "info", "--cache-dir", str(tmp_path),
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["entries"] == []
+        assert run(capsys, *args)[:2] == (code1, out1)
+        # the recomputed result replaced the corrupt file
+        assert json.loads(entry.read_text())["complete"]
 
 
 def test_classify_budget_exhaustion_exit_code(capsys):

@@ -3,12 +3,13 @@ import math
 
 import pytest
 
+import sact.groups
 from sact.errors import MembershipError
 from sact.groups import (GroupSpec, alt, alt_c2, are_conjugate,
                          centralizer_order, commutator_witness,
                          conjugator_in_sym, embed_alt_c2, generates,
-                         group_table, parse_group, split_alt_c2, split_label,
-                         subgroup_order, sym)
+                         group_table, parse_group, spans, split_alt_c2,
+                         split_label, subgroup_order, sym)
 from sact.perm import CycleType, Perm, parse_perm
 
 
@@ -183,6 +184,68 @@ def test_subgroup_order_against_closure():
 def test_standard_generators_generate():
     for spec in [sym(4), sym(5), alt(4), alt(5), alt(6), alt_c2(4), alt_c2(5)]:
         assert generates(spec, spec.standard_generators())
+
+
+@pytest.mark.parametrize("spec", [sym(4), alt(5), alt_c2(4)], ids=str)
+def test_spans_agrees_with_schreier_sims_on_every_pair(spec):
+    elements = group_table(spec).elements
+    for a in elements:
+        for b in elements:
+            assert spans(spec, [a, b]) == \
+                (subgroup_order([a, b], spec.degree) == spec.order), (a, b)
+
+
+def _no_schreier_sims(gens, degree):
+    raise AssertionError("a pre-check should have decided")
+
+
+def test_spans_orbit_check_fires(monkeypatch):
+    monkeypatch.setattr(sact.groups, "subgroup_order", _no_schreier_sims)
+    # Sym(3) on {2,3,4} fixes 1; every pair {1,k} closes to all of {1..4}
+    assert not spans(sym(4), [parse_perm("(2 3 4)", 4), parse_perm("(2 3)", 4)])
+    # transitive on {1..4} but never swapping the tail {5,6}
+    assert not spans(alt_c2(4), [parse_perm("(1 2 3)", 6), parse_perm("(2 3 4)", 6)])
+
+
+def test_spans_parity_check_fires(monkeypatch):
+    monkeypatch.setattr(sact.groups, "subgroup_order", _no_schreier_sims)
+    # Alt(4) is transitive and primitive, so only parity rules it out of Sym(4)
+    assert not spans(sym(4), [parse_perm("(1 2 3)", 4), parse_perm("(2 3 4)", 4)])
+
+
+def test_spans_block_check_fires(monkeypatch):
+    monkeypatch.setattr(sact.groups, "subgroup_order", _no_schreier_sims)
+    # the dihedral group of order 8 is transitive with blocks {1,3}, {2,4}
+    assert not spans(sym(4), [parse_perm("(1 2 3 4)", 4), parse_perm("(1 3)", 4)])
+    # the same blocks for the Alt(4) factor of Alt(4) x C_2
+    assert not spans(alt_c2(4), [parse_perm("(1 2)(3 4)(5 6)", 6),
+                                 parse_perm("(1 3)(2 4)", 6)])
+
+
+def _class_ids(table, *keys):
+    return frozenset(i for i, cl in enumerate(table.classes) if cl.key in keys)
+
+
+def test_normal_closure_examples():
+    a4 = group_table(alt(4))
+    v4 = _class_ids(a4, ((), "whole"), ((2, 2), "whole"))
+    assert a4.normal_closure(v4 - {a4.identity_class_id()}) == v4
+    assert a4.normal_closure(_class_ids(a4, ((3,), "plus"))) == \
+        frozenset(range(len(a4.classes)))
+    # the even classes of Sym(4) close to Alt(4), a transposition to Sym(4)
+    s4 = group_table(sym(4))
+    even = _class_ids(s4, ((),), ((2, 2),), ((3,),))
+    assert s4.normal_closure(_class_ids(s4, ((3,),))) == even
+    assert s4.normal_closure(_class_ids(s4, ((2,),))) == \
+        frozenset(range(len(s4.classes)))
+    # Alt(4) x C_2: V_4 x C_2 and Alt(4) x 1 are proper
+    axc = group_table(alt_c2(4))
+    v4c2 = _class_ids(axc, ((), "whole", False), ((), "whole", True),
+                      ((2, 2), "whole", False), ((2, 2), "whole", True))
+    assert axc.normal_closure(_class_ids(axc, ((2, 2), "whole", True))) == v4c2
+    alt_part = frozenset(i for i, cl in enumerate(axc.classes) if not cl.key[2])
+    assert axc.normal_closure(_class_ids(axc, ((3,), "minus", False))) == alt_part
+    assert len(alt_part) < len(axc.classes)
 
 
 def test_membership_alt_c2():

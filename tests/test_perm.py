@@ -28,6 +28,17 @@ def test_parse_rejects_bad_input():
         parse_perm("", 5)
 
 
+def test_validation_survives_the_unchecked_product():
+    # products and inverses skip the bijection check, construction does not
+    with pytest.raises(ParseError):
+        Perm((1, 1, 2))
+    with pytest.raises(ParseError):
+        parse_perm("(1 2)", 3) * parse_perm("(1 2)", 4)
+    p = parse_perm("(1 2 3)", 4)
+    assert type(p * p) is Perm and (p * p).images == (3, 1, 2, 4)
+    assert p.inverse() == p * p
+
+
 def test_degree_is_part_of_identity():
     assert Perm.identity(5) != Perm.identity(6)
     assert hash(Perm.identity(5)) != hash(Perm.identity(6))

@@ -6,7 +6,8 @@ from golden import GENUS10_ROWS, GENUS11_ROWS, TETRAHEDRAL_A
 from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
                            equivalent, parse_dataset, validate)
 from sact.errors import BudgetExhausted, PeriodNotRealizable, ValidationFailure
-from sact.groups import alt, alt_c2, group_table, subgroup_order, sym
+from sact.groups import (GroupTable, alt, alt_c2, group_table, subgroup_order,
+                         sym)
 from sact.orbifold import enumerate_signatures, signature
 from sact.perm import Perm
 from sact.vectors import (SearchBudget, dataset_from_vector,
@@ -180,14 +181,15 @@ def test_budget_exhaustion_is_reported():
 
 
 @pytest.mark.parametrize("spec,g,nodes,unfinished", [
-    (alt(4), 10, 498, ["(1;2,2,2)"]),
-    (alt_c2(4), 7, 372, ["(1;2)"]),
+    (alt(4), 10, 12, ["(1;2,2,2)"]),
+    (alt_c2(4), 7, 14, ["(1;2)"]),
     (sym(4), 10, 58, ["(0;2,4,4,4)", "(0;3,3,3,4)", "(1;4)"]),
 ], ids=["A4@10", "AxC24@7", "S4@10"])
 def test_node_budget_is_exact(spec, g, nodes, unfinished):
     """Each DFS node and each scanned commutator presentation of a g0 = 1
     handle search costs one node, so these are the smallest complete budgets.
-    A stopped run names only the interrupted signature and those after it."""
+    Class tuples dropped by the normal-closure prune cost none.  A stopped
+    run names only the interrupted signature and those after it."""
     res = enumerate_weak_classes(spec, g, budget=SearchBudget(max_nodes=nodes - 1))
     assert not res.complete
     assert res.incomplete_signatures == unfinished
@@ -241,3 +243,60 @@ def test_free_actions_and_family_case():
     family = parse_dataset("(6,2;[(1 2)(3 4)(5 6),2;2,2,2]^[2])", SYMMETRIC)
     assert str(canonical_form(family)) in rows
     assert len(rows) == 4
+
+
+# Every (group, genus) pair another test searches, with the signatures it
+# restricts to (None: every signature of the genus).
+COVERED_PAIRS = [
+    (alt(4), 3, None), (alt(4), 5, None), (alt(4), 7, None),
+    (alt(4), 10, None), (alt(4), 11, None),
+    (alt(4), 13, [signature(2, [])]), (alt(4), 16, [signature(2, [2])]),
+    (alt(4), 17, [signature(2, [3])]),
+    (alt(5), 10, None), (alt(5), 11, None), (alt(5), 19, None),
+    (alt(5), 61, [signature(2, [])]), (alt(5), 121, [signature(3, [])]),
+    (alt(5), 181, [signature(4, [])]),
+    (alt(6), 10, None), (alt(6), 11, None),
+    (alt_c2(4), 5, [signature(0, [3, 6, 6])]), (alt_c2(4), 7, None),
+    (alt_c2(5), 19, [signature(0, [2, 10, 10])]),
+    (sym(3), 5, [signature(2, [2])]), (sym(3), 6, [signature(2, [2])]),
+    (sym(3), 7, [signature(2, [2])]), (sym(3), 8, [signature(2, [2])]),
+    (sym(3), 9, [signature(2, [2])]), (sym(3), 10, [signature(2, [2])]),
+    (sym(3), 11, [signature(2, [2])]),
+    (sym(4), 5, None), (sym(4), 7, None), (sym(4), 10, None),
+    (sym(4), 11, None), (sym(4), 25, [signature(2, [])]),
+    (sym(4), 31, [signature(2, [2])]),
+    (sym(5), 10, None), (sym(5), 11, None),
+    (sym(5), 19, [signature(0, [2, 10, 10]), signature(0, [2, 2, 2, 5]),
+                  signature(0, [4, 4, 5])]),
+    (sym(5), 241, [signature(3, [])]),
+    (sym(6), 10, None), (sym(6), 11, None),
+    (sym(6), 1081, [signature(2, [2, 2])]),
+]
+
+
+def _weak_class_rows(spec, g, sigs):
+    res = enumerate_weak_classes(spec, g, signatures=sigs)
+    assert res.complete
+    return [(str(item.sig), item.key, item.vector) for item in res.items]
+
+
+@pytest.mark.parametrize("spec,g,sigs", COVERED_PAIRS,
+                         ids=[f"{s.name}@{g}" + ("" if sigs is None else "-sig")
+                              for s, g, sigs in COVERED_PAIRS])
+def test_normal_closure_prune_matches_unpruned_search(spec, g, sigs, monkeypatch):
+    """Dropping class tuples whose normal closure is proper changes no weak
+    class and no witness vector."""
+    pruned = _weak_class_rows(spec, g, sigs)
+    monkeypatch.setattr(GroupTable, "normal_closure",
+                        lambda self, ids: frozenset(range(len(self.classes))))
+    assert _weak_class_rows(spec, g, sigs) == pruned
+
+
+def test_normal_closure_prune_fires(monkeypatch):
+    """A4@10 finishes in 12 nodes only because tuples that lie in V_4 are
+    dropped; the unpruned search needs more."""
+    assert enumerate_weak_classes(alt(4), 10, budget=SearchBudget(max_nodes=12)).complete
+    monkeypatch.setattr(GroupTable, "normal_closure",
+                        lambda self, ids: frozenset(range(len(self.classes))))
+    assert not enumerate_weak_classes(alt(4), 10,
+                                      budget=SearchBudget(max_nodes=12)).complete
