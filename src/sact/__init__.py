@@ -20,7 +20,8 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_form,
 from .vectors import (GeneratingVector, SearchBudget, enumerate_vectors,
                       enumerate_weak_classes)
 from .factors import (cyclic_factor, fixed_point_count, fixed_point_profile,
-                      obstruction_report, standard_factors, weakly_generates)
+                      is_hyperelliptic, is_irreducible, obstruction_report,
+                      standard_factors, weakly_generates)
 from .lifting import (InvolutionDescent, LiftVerdict, admissible_permutations,
                       decide_lift, free_action_analysis, index2_restrict,
                       psi_map, self_normalizing)
@@ -36,7 +37,8 @@ __all__ = [
     "GeneratingVector", "SearchBudget", "enumerate_vectors",
     "enumerate_weak_classes",
     "cyclic_factor", "fixed_point_count", "fixed_point_profile",
-    "obstruction_report", "standard_factors", "weakly_generates",
+    "is_hyperelliptic", "is_irreducible", "obstruction_report",
+    "standard_factors", "weakly_generates",
     "InvolutionDescent", "LiftVerdict", "admissible_permutations",
     "decide_lift", "free_action_analysis", "index2_restrict", "psi_map",
     "self_normalizing",

@@ -193,9 +193,17 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
 # order bounds and obstructions
 
 
-def max_element_order(spec: GroupSpec) -> int:
-    """Largest element order, by the partition sweep (no element table)."""
-    return max(spec.element_orders())
+def is_irreducible(factor: CyclicDataSet) -> bool:
+    """Whether the factor is an irreducible periodic mapping class: sphere
+    quotient with three cone points."""
+    return factor.g0 == 0 and len(factor.cones) == 3
+
+
+def is_hyperelliptic(factor: CyclicDataSet, g: int) -> bool:
+    """Whether the factor is the hyperelliptic involution of the genus-g
+    surface, (2,0;(1,2)^[2g+2])."""
+    return (factor.degree, factor.g0) == (2, 0) and \
+        factor.cones == ((1, 2),) * (2 * g + 2)
 
 
 @dataclass
@@ -234,12 +242,11 @@ def obstruction_report(spec: GroupSpec, g: int,
                        budget: Optional[SearchBudget] = None,
                        classes: Optional[WeakClassList] = None) -> ObstructionReport:
     """Sweep every element class of every weak class at genus g, flagging
-    irreducible factors (sphere quotient, three cones) and the hyperelliptic
-    involution factor (2,0;(1,2)^[2g+2])."""
+    irreducible factors (is_irreducible) and the hyperelliptic involution
+    factor (is_hyperelliptic)."""
     if classes is None:
         classes = enumerate_weak_classes(spec, g, budget, raise_on_budget=True)
     table = group_table(spec)
-    hyper = cyclic_data_set(2, 0, [(1, 2)] * (2 * g + 2))
     report = ObstructionReport(spec, g)
     for item in classes.items:
         report.classes_swept += 1
@@ -249,9 +256,9 @@ def obstruction_report(spec: GroupSpec, g: int,
                 continue
             factor = cyclic_factor(item.ds, cl.rep)
             rows.append((cl.rep, factor))
-            if factor.g0 == 0 and len(factor.cones) == 3:
+            if is_irreducible(factor):
                 report.irreducible.append((item.ds, cl.rep, factor))
-            if factor == hyper:
+            if is_hyperelliptic(factor, g):
                 report.hyperelliptic.append((item.ds, cl.rep, factor))
         report.factor_tables.append((item.ds, rows))
     return report

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -278,11 +279,66 @@ def centralizer_order(spec: GroupSpec, p: Perm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subgroup order (deterministic Schreier-Sims) and generation tests
+# subgroup order (closure or deterministic Schreier-Sims) and generation tests
 
 
-def subgroup_order(gens: Sequence[Perm], degree: int) -> int:
-    """Exact order of <gens> inside Sym(degree)."""
+# Largest containing order for which subgroup_order enumerates <gens>
+# instead of running Schreier-Sims.  Mean ms per call over 20 random 2-, 4-
+# and 8-element tuples per group, closure with the Lagrange cut against
+# Schreier-Sims (2-core shared host, Python 3.11.7): S5 0.03-0.05 vs
+# 0.9-1.7, S6 0.20-0.32 vs 1.6-3.7, AxC26 0.23-0.24 vs 1.4-3.5, S7 1.5-2.0
+# vs 4.3-5.3, A8 7.1-11.6 vs 4.5-7.3, S8 17-21 vs 5.6-10.9.  The crossover
+# lies between orders 5040 and 20160.  The cut is what makes closure pay:
+# without it, 8 generators of S7 take 15 ms.
+CLOSURE_ORDER_CAP = 5040
+
+
+def subgroup_order(gens: Sequence[Perm], degree: int,
+                   within: Optional[int] = None) -> int:
+    """Exact order of <gens> inside Sym(degree).
+
+    `within` is the order of a group known to contain every generator
+    (default degree!).  Closure with a Lagrange cut up to order 5040
+    (CLOSURE_ORDER_CAP), Schreier-Sims above: <gens> is enumerated
+    breadth-first on image tuples, and once more than within/2 elements
+    are found it has index < 2, so it is the whole containing group.
+    """
+    if within is None:
+        within = math.factorial(degree)
+    if within <= CLOSURE_ORDER_CAP:
+        return _closure_order(gens, degree, within)
+    return _schreier_sims_order(gens, degree)
+
+
+def _closure_order(gens: Sequence[Perm], degree: int, within: int) -> int:
+    """Order of <gens> by closure, returning `within` as soon as more than
+    half of it is found."""
+    identity = tuple(range(1, degree + 1))
+    # a leading 0 makes the image tuple indexable by 1-based points, so
+    # itemgetter(*h)(g) is the image tuple of g * h
+    padded = {(0,) + g.images for g in gens if g.images != identity}
+    if not padded:
+        return 1
+    half = within // 2
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for h in frontier:
+            compose = operator.itemgetter(*h)
+            for g in padded:
+                k = compose(g)
+                if k not in seen:
+                    seen.add(k)
+                    if len(seen) > half:
+                        return within
+                    fresh.append(k)
+        frontier = fresh
+    return len(seen)
+
+
+def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
+    """Exact order of <gens> inside Sym(degree), by Schreier-Sims."""
     identity = Perm.identity(degree)
     strong = [g for g in gens if g != identity]
     if not strong:
@@ -407,7 +463,9 @@ def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:
     <gens> must have the group's orbits ({1..n}, plus {n+1, n+2} for
     Alt(n) x C_2), must not lie in Alt(n) when the group is Sym(n), and
     must act primitively on {1..n}, as Sym(n), Alt(n) and the Alt(n) factor
-    do.  Only then does Schreier-Sims compare orders.
+    do.  Only then is the order of <gens> compared with the group's, by
+    closure with a Lagrange cut up to order 5040, Schreier-Sims above
+    (subgroup_order).
     """
     n = spec.n
     if _orbit_of_1(gens) != set(range(1, n + 1)):
@@ -419,7 +477,7 @@ def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:
     for k in range(2, n + 1):
         if not _minimal_block_is_whole(gens, n, k):
             return False
-    return subgroup_order(gens, spec.degree) == spec.order
+    return subgroup_order(gens, spec.degree, spec.order) == spec.order
 
 
 def generates(spec: GroupSpec, elems: Iterable[Perm], degree_cap: int = DEGREE_CAP) -> bool:
@@ -459,7 +517,6 @@ class GroupTable:
         self.spec = spec
         self.identity = Perm.identity(spec.degree)
         self.elements = tuple(sorted(self._build_elements()))
-        self._index = {p: i for i, p in enumerate(self.elements)}
         self.classes = self._build_classes()
         self._class_of = {}
         for ci, cl in enumerate(self.classes):
@@ -468,6 +525,7 @@ class GroupTable:
         self.classes_by_order = {}
         for ci, cl in enumerate(self.classes):
             self.classes_by_order.setdefault(cl.rep.order(), []).append(ci)
+        self._centralizer_cache = {}
         self._support_cache = {}
         self._closure_cache = {}
         self._commutator_class_ids = None
@@ -506,7 +564,12 @@ class GroupTable:
         return self._class_of[p]
 
     def centralizer(self, p: Perm) -> tuple:
-        return tuple(z for z in self.elements if z * p == p * z)
+        try:
+            return self._centralizer_cache[p]
+        except KeyError:
+            out = tuple(z for z in self.elements if z * p == p * z)
+            self._centralizer_cache[p] = out
+            return out
 
     def product_support(self, i: int, j: int) -> frozenset:
         """Class ids reachable as products: {class(a*b) : a in C_i, b in C_j}."""

@@ -36,8 +36,9 @@ from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2,
 from .orbifold import (CyclicDataSet, Signature, cyclic_data_set, rh_genus,
                        validate_cyclic)
 from .perm import Perm
-from .vectors import (GeneratingVector, SearchBudget, enumerate_weak_classes,
-                      materialize_vector, resolved_representative)
+from .vectors import (GeneratingVector, SearchBudget, WeakClass,
+                      enumerate_weak_classes, materialize_vector,
+                      resolved_representative)
 
 
 @dataclass(frozen=True)
@@ -328,6 +329,48 @@ def quotient_signature(ds: GroupDataSet, inv: InvolutionDescent) -> Signature:
     return Signature(inv.d.g0, tuple(sorted(periods)))
 
 
+@dataclass
+class _ExtensionSearches(SearchBudget):
+    """A search budget that also keeps the extension searches run under it.
+
+    self_normalizing passes one to every decide_lift call, so the calls
+    share one weak-class search per (group, genus, quotient signature) and
+    one descent per candidate.  Each search still runs under a fresh clock
+    with this budget, so node budgets give the verdicts that separate
+    searches give; a search that runs out of budget is not kept and runs
+    again when next asked.  A candidate's descent is computed when a match
+    loop first reaches it, as it would be without sharing.
+    """
+
+    # (spec, genus, signature) -> (weak classes, their descents so far)
+    found: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def under(cls, budget: Optional[SearchBudget]) -> "_ExtensionSearches":
+        if budget is None:
+            return cls()
+        return cls(budget.max_nodes, budget.max_seconds)
+
+    def candidates(self, spec: GroupSpec, g: int, sig: Signature
+                   ) -> Iterator[Tuple[WeakClass, Restriction]]:
+        """Each weak class of spec-actions on sig at genus g, with its descent."""
+        if any(m not in spec.element_orders() for m in sig.periods):
+            return
+        key = (spec, g, sig)
+        if key not in self.found:
+            found = enumerate_weak_classes(spec, g, self, signatures=[sig],
+                                           raise_on_budget=True)
+            self.found[key] = (found.items, [])
+        items, descents = self.found[key]
+        for i, item in enumerate(items):
+            if i == len(descents):
+                if spec.family == SYM:
+                    descents.append(psi_map(item.ds, vector=item.vector))
+                else:
+                    descents.append(index2_restrict(item.vector))
+            yield item, descents[i]
+
+
 def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,
                 budget: Optional[SearchBudget] = None) -> LiftVerdict:
     """Decide whether the pair extends: a symmetric witness on the forced
@@ -344,18 +387,12 @@ def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,
     normalized = perm if perm != inv.perm else None
     working = InvolutionDescent(inv.d, perm)
     sig = quotient_signature(ds, working)
-
-    def candidates(spec):
-        if any(m not in spec.element_orders() for m in sig.periods):
-            return []
-        found = enumerate_weak_classes(spec, g, budget, signatures=[sig],
-                                       raise_on_budget=True)
-        return found.items
+    searches = budget if isinstance(budget, _ExtensionSearches) \
+        else _ExtensionSearches.under(budget)
 
     try:
         best = None
-        for item in candidates(GroupSpec(SYM, n)):
-            restriction = psi_map(item.ds, vector=item.vector)
+        for item, restriction in searches.candidates(GroupSpec(SYM, n), g, sig):
             loose, strict = match_descent(ds, working, restriction)
             if loose:
                 verdict = LiftVerdict(WLS, ds, inv, witness_symmetric=item.ds,
@@ -366,8 +403,7 @@ def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,
                 best = best or verdict
         if best is not None:
             return best
-        for item in candidates(GroupSpec(ALT_C2, n)):
-            restriction = index2_restrict(item.vector)
+        for item, restriction in searches.candidates(GroupSpec(ALT_C2, n), g, sig):
             loose, strict = match_descent(ds, working, restriction)
             if loose:
                 verdict = LiftVerdict(ALT_TIMES_C2, ds, inv,
@@ -437,6 +473,7 @@ def self_normalizing(ds: GroupDataSet, budget: Optional[SearchBudget] = None
     by_condition = ds.g0 == 0 and len(
         {(o, parts) for o, parts, _ in slots}) == len(slots)
 
+    searches = _ExtensionSearches.under(budget)
     undetermined = False
     extensions = []
     for d in involution_classes_on(ds.g0):
@@ -445,7 +482,7 @@ def self_normalizing(ds: GroupDataSet, budget: Optional[SearchBudget] = None
             fixed = sum(1 for i in range(1, perm.degree + 1) if perm(i) == i)
             if fixed > k:
                 continue
-            verdict = decide_lift(ds, InvolutionDescent(d, perm), budget)
+            verdict = decide_lift(ds, InvolutionDescent(d, perm), searches)
             if verdict.kind == UNDETERMINED:
                 undetermined = True
             elif verdict.kind != NOT_LIFTABLE:

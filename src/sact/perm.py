@@ -125,7 +125,8 @@ class Perm:
         return CycleType(parts, self.degree)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        # the identity has no cycles, and lcm() is 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0

@@ -16,7 +16,8 @@ reachability, then representatives are filled in by depth-first search with
 the last elliptic forced (quotient genus 0) or the handles solved by an
 exhaustive commutator scan (genus >= 1, datasets.handle_solutions).  Every
 generation test goes through groups.spans, whose orbit and block pre-checks
-reject most non-generating vectors before Schreier-Sims runs.
+reject most non-generating vectors before orders are compared, by closure
+with a Lagrange cut up to order 5040, Schreier-Sims above.
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """

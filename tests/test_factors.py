@@ -7,9 +7,9 @@ from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
 from sact.errors import GenusMismatch, MembershipError
 from sact.factors import (cyclic_factor, fixed_point_count,
-                          fixed_point_profile, max_element_order,
-                          obstruction_report, standard_factors,
-                          weakly_generates)
+                          fixed_point_profile, is_hyperelliptic,
+                          is_irreducible, obstruction_report,
+                          standard_factors, weakly_generates)
 from sact.groups import alt, alt_c2, group_table, sym
 from sact.orbifold import cyclic_data_set, parse_cyclic, validate_cyclic
 from sact.perm import parse_perm
@@ -154,10 +154,12 @@ def test_weakly_generates_hyperelliptic_absent():
 
 
 def test_max_element_order():
-    assert max_element_order(sym(5)) == 6
-    assert max_element_order(alt(6)) == 5
-    assert max_element_order(sym(4)) == 4
-    assert max_element_order(alt_c2(5)) == 10
+    # the largest element order (Landau's function on Sym(n)) bounds the
+    # cyclic factors an obstruction sweep can meet
+    assert max(sym(5).element_orders()) == 6
+    assert max(alt(6).element_orders()) == 5
+    assert max(sym(4).element_orders()) == 4
+    assert max(alt_c2(5).element_orders()) == 10
 
 
 @pytest.mark.parametrize("spec,g", [(alt(5), 10), (alt(6), 10), (sym(4), 10),
@@ -169,14 +171,33 @@ def test_obstruction_sweeps_are_clean(spec, g):
 
 
 def test_hyperelliptic_detection_fires_when_present():
-    # a cyclic-style check: the degree-2 action on genus 2 with 6 branch
-    # points embeds in Sym(3) actions? none at our genera; instead verify the
-    # detector on a synthetic data set whose factor is hyperelliptic
+    # Sym(n) and Alt(n) have trivial centre, so the hyperelliptic involution,
+    # central in the whole automorphism group, is never one of their
+    # elements: the positive is hand-built
+    hyper = parse_cyclic("(2,0;(1,2)^[6])")
+    assert validate_cyclic(hyper) == 2
+    assert is_hyperelliptic(hyper, 2)
+    assert not is_hyperelliptic(hyper, 3)
+    assert not is_hyperelliptic(parse_cyclic("(2,1;(1,2)^[2])"), 2)
+    # a real factor: (1 2)(3 4) in a genus-37 Sym(4) action has a genus-17
+    # quotient
     ds = parse_dataset("(4,2;[(1 2)(3 4),2;2,2]^[2])", SYMMETRIC)
     g = validate(ds)
-    sigma = parse_perm("(1 2)(3 4)", 4)
-    factor = cyclic_factor(ds, sigma)
-    assert factor.g0 >= 0  # smoke: the sweep machinery accepts it
+    factor = cyclic_factor(ds, parse_perm("(1 2)(3 4)", 4))
+    assert (g, str(factor)) == (37, "(2,17;(1,2)^[8])")
+    assert not is_hyperelliptic(factor, g)
+
+
+def test_irreducible_detection_fires_when_present():
+    triangle = parse_cyclic("(5,0;(1,5)^[2],(3,5))")
+    assert validate_cyclic(triangle) == 2
+    assert is_irreducible(triangle)
+    assert not is_irreducible(parse_cyclic("(5,0;(1,5)^[2],(4,5)^[2])"))
+    assert not is_irreducible(parse_cyclic("(2,0;(1,2)^[6])"))
+    # a real factor: the 5-cycle of the icosahedral action, genus-3 quotient
+    factor = cyclic_factor(icosa(), parse_perm("(1 2 3 4 5)", 5))
+    assert str(factor) == "(5,3;(1,5)^[2],(4,5)^[2])"
+    assert not is_irreducible(factor)
 
 
 def test_fixed_point_profile():

@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 
 import sact.groups
 from sact.errors import MembershipError
-from sact.groups import (GroupSpec, alt, alt_c2, are_conjugate,
-                         centralizer_order, commutator_witness,
+from sact.groups import (GroupSpec, _schreier_sims_order, alt, alt_c2,
+                         are_conjugate, centralizer_order, commutator_witness,
                          conjugator_in_sym, embed_alt_c2, generates,
                          group_table, parse_group, spans, split_alt_c2,
                          split_label, subgroup_order, sym)
@@ -135,8 +136,10 @@ def test_orbit_stabilizer_identity(spec):
 def test_centralizer_order_against_scan(spec):
     table = group_table(spec)
     for cl in table.classes:
-        scan = sum(1 for z in table.elements if z * cl.rep == cl.rep * z)
-        assert centralizer_order(spec, cl.rep) == scan
+        scan = tuple(z for z in table.elements if z * cl.rep == cl.rep * z)
+        assert centralizer_order(spec, cl.rep) == len(scan)
+        assert table.centralizer(cl.rep) == scan
+        assert table.centralizer(cl.rep) is table.centralizer(cl.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +195,67 @@ def test_spans_agrees_with_schreier_sims_on_every_pair(spec):
     for a in elements:
         for b in elements:
             assert spans(spec, [a, b]) == \
-                (subgroup_order([a, b], spec.degree) == spec.order), (a, b)
+                (_schreier_sims_order([a, b], spec.degree) == spec.order), (a, b)
+
+
+def _random_member(rng, spec, fixing_last=False):
+    """A uniform random element of spec's group, or of its stabilizer of
+    the last point of {1..n}."""
+    while True:
+        images = list(range(1, spec.degree + 1))
+        rng.shuffle(images)
+        p = Perm(images)
+        if spec.contains(p) and not (fixing_last and p(spec.n) != spec.n):
+            return p
+
+
+@pytest.mark.parametrize("spec", [sym(6), alt_c2(5), sym(7)], ids=str)
+def test_closure_order_agrees_with_schreier_sims(spec):
+    """Random 2-8-element tuples from the group, from its even part (index
+    2, where the Lagrange cut must not fire) and from a point stabilizer."""
+    rng = random.Random(20261018)
+    for case in range(60):
+        pool, size = case % 3, rng.randint(2, 8)
+        gens = []
+        while len(gens) < size:
+            p = _random_member(rng, spec, fixing_last=pool == 2)
+            if pool != 1 or p.is_even():
+                gens.append(p)
+        assert subgroup_order(gens, spec.degree, spec.order) == \
+            _schreier_sims_order(gens, spec.degree), gens
+
+
+def test_schreier_sims_decides_above_the_closure_cap(monkeypatch):
+    # PSL(2,7) acts primitively on 8 points, so the pre-checks pass it on
+    gens = [parse_perm("(1 2 3 4 5 6 7)", 8), parse_perm("(1 8)(2 7)(3 4)(5 6)", 8)]
+    calls = []
+
+    def counted(gens, degree):
+        calls.append(degree)
+        return _schreier_sims_order(gens, degree)
+
+    def no_closure(gens, degree, within):
+        raise AssertionError("order 20160 is above the closure cap")
+
+    monkeypatch.setattr(sact.groups, "_schreier_sims_order", counted)
+    monkeypatch.setattr(sact.groups, "_closure_order", no_closure)
+    assert not spans(alt(8), gens)
+    assert calls == [8]
+    assert subgroup_order(gens, 8, alt(8).order) == 168
+
+
+def test_subgroup_order_against_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(8)
+    for degree, spec in [(8, sym(8)), (9, sym(9)), (10, sym(10)),
+                         (8, alt_c2(6)), (9, alt_c2(7))]:
+        for case in range(6):
+            gens = [_random_member(rng, spec, fixing_last=case % 2 == 1)
+                    for _ in range(rng.randint(2, 4))]
+            ref = combinatorics.PermutationGroup(
+                [combinatorics.Permutation([x - 1 for x in g.images]) for g in gens])
+            assert subgroup_order(gens, degree) == ref.order(), gens
+            assert subgroup_order(gens, degree, spec.order) == ref.order(), gens
 
 
 def _no_schreier_sims(gens, degree):

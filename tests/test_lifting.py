@@ -1,5 +1,6 @@
 import pytest
 
+import sact.lifting
 from golden import (CUBIC_A_VALID, CUBIC_S, DA2_A, DODECAHEDRAL_A,
                     GENUS10_ROWS, GENUS11_ROWS, ICOSAHEDRAL_A,
                     ICOSAHEDRAL_LIFT_S, ICOSAHEDRAL_LIFT_S2, OCTAHEDRAL_A,
@@ -7,15 +8,17 @@ from golden import (CUBIC_A_VALID, CUBIC_S, DA2_A, DODECAHEDRAL_A,
 from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
 from sact.errors import GenusMismatch, ValidationFailure
-from sact.groups import alt, sym
+from sact.groups import alt, alt_c2, sym
 from sact.lifting import (ALT_TIMES_C2, NOT_LIFTABLE, UNDETERMINED, WLS,
-                          InvolutionDescent, admissible_permutations,
-                          decide_lift, free_action_analysis, index2_restrict,
+                          InvolutionDescent, _ExtensionSearches,
+                          admissible_permutations, decide_lift,
+                          free_action_analysis, index2_restrict,
                           involution_classes_on, match_descent, psi_map,
                           quotient_signature, self_normalizing)
 from sact.orbifold import parse_cyclic, signature
 from sact.perm import Perm, parse_perm
-from sact.vectors import (materialize_vector, validate_vector,
+from sact.vectors import (SearchBudget, enumerate_weak_classes,
+                          materialize_vector, validate_vector,
                           vectors_for_dataset)
 
 D_SPHERE = "(2,0;(1,2)^[2])"
@@ -232,6 +235,48 @@ def test_self_normalizing_false_for_icosahedral():
     assert report.overall is False
     kinds = {v.kind for v in report.extensions}
     assert WLS in kinds
+
+
+@pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=50)],
+                         ids=["unbounded", "50-nodes"])
+@pytest.mark.parametrize("spec,g", [(alt(4), 7), (alt(5), 21)], ids=["A4@7", "A5@21"])
+def test_self_normalizing_shares_searches_without_changing_verdicts(
+        monkeypatch, spec, g, budget):
+    """Every verdict self_normalizing reaches through its shared extension
+    searches equals that of a separate decide_lift call."""
+    shared = []
+
+    def record(ds, inv, budget=None):
+        verdict = decide_lift(ds, inv, budget)
+        shared.append(verdict.to_json())
+        return verdict
+
+    kinds = set()
+    for item in enumerate_weak_classes(spec, g).items:
+        separate = []
+        for d in involution_classes_on(item.ds.g0):
+            for perm in admissible_permutations(item.ds):
+                if sum(1 for i in range(1, perm.degree + 1) if perm(i) == i) > len(d.cones):
+                    continue
+                separate.append(decide_lift(item.ds, InvolutionDescent(d, perm), budget))
+        monkeypatch.setattr(sact.lifting, "decide_lift", record)
+        shared.clear()
+        report = self_normalizing(item.ds, budget)
+        monkeypatch.undo()
+        assert shared == [v.to_json() for v in separate]
+        assert [v.to_json() for v in report.extensions] == \
+            [v.to_json() for v in separate if v.kind not in (NOT_LIFTABLE, UNDETERMINED)]
+        kinds.update(v.kind for v in separate)
+    assert (UNDETERMINED in kinds) == (budget is not None)
+
+
+def test_shared_search_keeps_each_candidates_own_descent():
+    searches = _ExtensionSearches.under(None)
+    spec, sig = alt_c2(5), signature(0, [2, 2, 2, 6])
+    first = list(searches.candidates(spec, 21, sig))
+    assert len(first) == 2
+    assert [r for _, r in first] == [index2_restrict(item.vector) for item, _ in first]
+    assert list(searches.candidates(spec, 21, sig)) == first
 
 
 def test_involution_classes_on_surface():

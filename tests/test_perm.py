@@ -54,6 +54,7 @@ def test_apply_and_order():
     p = parse_perm("(1 2 3)(4 5)", 5)
     assert [p(i) for i in range(1, 6)] == [2, 3, 1, 5, 4]
     assert p.order() == 6
+    assert Perm.identity(5).order() == 1
     assert (p ** 6).is_identity()
     assert p ** -1 == p.inverse()
 
