@@ -1,6 +1,8 @@
 """Content-addressed result cache for classification runs.
 
-Entries are keyed on (command, group, genus, code version, budget); only
+Entries are keyed on (command, group, genus, code version, schema, budget).
+The schema is an integer (`cli.CACHE_SCHEMA`) raised whenever an algorithm
+change could alter a stored result, so older entries become misses.  Only
 complete results are stored, so an interrupted run can never shadow a full
 one.  Files are plain JSON under the cache directory.
 """

@@ -32,6 +32,11 @@ from .vectors import SearchBudget, enumerate_weak_classes
 
 EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 2, 3, 4
 
+# Part of every classify cache key: raise it whenever a change to the
+# search or to the factors could alter a stored row, so that entries
+# written before the change are misses.
+CACHE_SCHEMA = 1
+
 
 def _env(name, default=None):
     return os.environ.get("SACT_" + name, default)
@@ -198,7 +203,8 @@ def cmd_classify(args) -> int:
 def _classify_worker(packed):
     family, n, genus, nodes, seconds, cache_dir = packed
     key = {"command": "classify", "family": family, "n": n, "genus": genus,
-           "version": __version__, "budget_nodes": nodes, "budget_seconds": seconds}
+           "version": __version__, "schema": CACHE_SCHEMA,
+           "budget_nodes": nodes, "budget_seconds": seconds}
     hit = result_cache.load(cache_dir, key)
     if hit is not None:
         return {"rows": hit["rows"], "complete": True}

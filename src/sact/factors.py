@@ -14,6 +14,13 @@ processing divisors t of d in decreasing order,
                            of mult[t'][u']
 
 and each cone pair is (u^-1 mod t, t) with that multiplicity.
+
+The count and the factor are class functions.  In groups up to order 5040
+(CLOSURE_ORDER_CAP) the factor is read from the class power map and the
+centralizer orders of the group table, in integer arithmetic, once per
+(data set, class of sigma).  Larger groups have no table built for them
+and run the direct formula on sigma, which fixed_point_count and
+fixed_point_profile keep as the reference.
 """
 
 from __future__ import annotations
@@ -22,13 +29,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .datasets import GroupDataSet, validate
 from .errors import (GenusMismatch, MembershipError, NegativeMultiplicityError,
                      NonIntegralError)
-from .groups import (GroupSpec, are_conjugate, centralizer_order, group_table,
-                     require_member, spans)
+from .groups import (CLOSURE_ORDER_CAP, GroupSpec, GroupTable, are_conjugate,
+                     centralizer_order, group_table, require_member, spans)
 from .orbifold import CyclicDataSet, cyclic_data_set, validate_cyclic
 from .perm import Perm
 from .vectors import SearchBudget, WeakClassList, enumerate_weak_classes
@@ -80,36 +87,84 @@ def cyclic_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
     """Cyclic data set of the action restricted to <sigma>.
 
     Depends only on the entry classes; the data set is shape-checked, the
-    realizability clauses being the caller's business.
+    realizability clauses being the caller's business.  Groups of order up
+    to CLOSURE_ORDER_CAP answer once per (data set, class of sigma) from
+    their group table; larger ones, which have no table built for them,
+    run the direct formula on sigma.
     """
     spec = ds.spec
     require_member(spec, sigma)
-    d = sigma.order()
-    if d == 1:
+    if sigma.is_identity():
         raise MembershipError("cyclic factor needs a non-trivial element")
-    g = _structural_genus(ds)
+    if spec.order <= CLOSURE_ORDER_CAP:
+        return _class_factor(ds, group_table(spec).class_id(sigma))
+    return _direct_factor(ds, sigma)
 
-    divisors = sorted((t for t in range(2, d + 1) if d % t == 0), reverse=True)
+
+def _direct_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
+    """cyclic_factor by the direct formula on sigma and its powers."""
+    g = _structural_genus(ds)
+    d = sigma.order()
+    powers = {t: sigma ** (d // t) for t in _divisors(d)}
+    return _unwind(g, d, lambda t, u: fixed_point_count(ds, powers[t], u, t))
+
+
+@functools.lru_cache(maxsize=4096)
+def _class_factor(ds: GroupDataSet, ci: int) -> CyclicDataSet:
+    """cyclic_factor of the elements of class ci of the group table, from
+    the class power map and centralizer orders."""
+    g = _structural_genus(ds)
+    table = group_table(ds.spec)
+    entries = tuple((table.class_id(e.rep), e.order, e.mult) for e in ds.entries)
+    d = table.classes[ci].rep.order()
+    return _unwind(g, d, lambda t, u: _class_fixed_points(
+        table, entries, table.power_class(ci, d // t), u, t))
+
+
+def _class_fixed_points(table: GroupTable, entries: Sequence, ci: int,
+                        u: int, m: int) -> int:
+    """fixed_point_count at unit u of the elements of class ci, of order m,
+    given each entry as (class id, order, mult); the sum of mult/order is
+    taken over the lcm of the entry orders."""
+    lcm = math.lcm(*(order for _, order, _ in entries))
+    weight = sum(mult * (lcm // order) for ce, order, mult in entries
+                 if order % m == 0 and table.power_class(ce, order * u // m) == ci)
+    total = table.centralizer_order(ci) * weight
+    if total % lcm:
+        raise NonIntegralError(
+            f"fixed-point count {Fraction(total, lcm)} for {table.classes[ci].rep}")
+    return total // lcm
+
+
+def _divisors(d: int) -> list:
+    """Divisors t >= 2 of d, in decreasing order."""
+    return [t for t in range(d, 1, -1) if d % t == 0]
+
+
+def _unwind(g: int, d: int, count: Callable[[int, int], int]) -> CyclicDataSet:
+    """The cyclic factor of an element of order d on a genus-g surface, from
+    count(t, u), the fixed points of its (d/t)-th power at unit u."""
+    divisors = _divisors(d)
     mult: dict = {}
     for t in divisors:
-        power = sigma ** (d // t)
         mult[t] = {}
         for u in range(1, t):
             if math.gcd(u, t) != 1:
                 continue
-            count = Fraction(fixed_point_count(ds, power, u, t))
+            fixed = count(t, u)
             for t2 in divisors:
                 if t2 == t or t2 % t != 0:
                     continue
                 for u2, m2 in mult[t2].items():
                     if u2 % t == u:
-                        count -= m2
-            value = count * Fraction(t, d)
-            if value.denominator != 1:
-                raise NonIntegralError(f"multiplicity {value} at (u={u}, t={t})")
+                        fixed -= m2
+            value, rest = divmod(fixed * t, d)
+            if rest:
+                raise NonIntegralError(
+                    f"multiplicity {Fraction(fixed * t, d)} at (u={u}, t={t})")
             if value < 0:
                 raise NegativeMultiplicityError(f"multiplicity {value} at (u={u}, t={t})")
-            mult[t][u] = int(value)
+            mult[t][u] = value
 
     cones = []
     for t in divisors:
@@ -122,11 +177,15 @@ def cyclic_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
 
 
 def _quotient_genus(g: int, d: int, cones: Sequence) -> int:
-    chi = Fraction(2 - 2 * g, d) + sum(Fraction(t - 1, t) for _, t in cones)
-    g0 = (Fraction(2) - chi) / 2
-    if g0.denominator != 1 or g0 < 0:
-        raise NonIntegralError(f"quotient genus {g0}")
-    return int(g0)
+    """g0 with 2 - 2g = d * (2 - 2*g0 - sum(1 - 1/t)), solved in integers
+    over the lcm L of d and the cone orders: chi * L = (2 - 2*g0) * L =
+    (2 - 2g) * (L/d) + sum((t - 1) * (L/t))."""
+    lcm = math.lcm(d, *(t for _, t in cones))
+    chi_lcm = (2 - 2 * g) * (lcm // d) + sum((t - 1) * (lcm // t) for _, t in cones)
+    g0, rest = divmod(2 * lcm - chi_lcm, 2 * lcm)
+    if rest or g0 < 0:
+        raise NonIntegralError(f"quotient genus {Fraction(2 * lcm - chi_lcm, 2 * lcm)}")
+    return g0
 
 
 def standard_factors(ds: GroupDataSet) -> tuple:

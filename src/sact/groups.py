@@ -526,6 +526,7 @@ class GroupTable:
         for ci, cl in enumerate(self.classes):
             self.classes_by_order.setdefault(cl.rep.order(), []).append(ci)
         self._centralizer_cache = {}
+        self._power_class_cache = {}
         self._support_cache = {}
         self._closure_cache = {}
         self._commutator_class_ids = None
@@ -570,6 +571,20 @@ class GroupTable:
             out = tuple(z for z in self.elements if z * p == p * z)
             self._centralizer_cache[p] = out
             return out
+
+    def power_class(self, ci: int, k: int) -> int:
+        """Class id of rep ** k for the representative of class ci: the
+        power map, a class function."""
+        try:
+            return self._power_class_cache[(ci, k)]
+        except KeyError:
+            out = self._class_of[self.classes[ci].rep ** k]
+            self._power_class_cache[(ci, k)] = out
+            return out
+
+    def centralizer_order(self, ci: int) -> int:
+        """Order of the centralizer of any element of class ci."""
+        return self.spec.order // self.classes[ci].size
 
     def product_support(self, i: int, j: int) -> frozenset:
         """Class ids reachable as products: {class(a*b) : a in C_i, b in C_j}."""

@@ -339,17 +339,31 @@ class _ExtensionSearches(SearchBudget):
     with this budget, so node budgets give the verdicts that separate
     searches give; a search that runs out of budget is not kept and runs
     again when next asked.  A candidate's descent is computed when a match
-    loop first reaches it, as it would be without sharing.
+    loop first reaches it, as it would be without sharing.  Each data set
+    asked about is resolved and validated once, in resolve.
     """
 
     # (spec, genus, signature) -> (weak classes, their descents so far)
     found: dict = field(default_factory=dict, repr=False, compare=False)
+    # data set -> (its resolved representative, genus)
+    resolved: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def under(cls, budget: Optional[SearchBudget]) -> "_ExtensionSearches":
         if budget is None:
             return cls()
         return cls(budget.max_nodes, budget.max_seconds)
+
+    def resolve(self, ds: GroupDataSet) -> Tuple[GroupDataSet, int]:
+        """The resolved representative of ds (resolved_representative) and
+        its genus; the representative resolves to itself."""
+        try:
+            return self.resolved[ds]
+        except KeyError:
+            rep = resolved_representative(ds)
+            pair = (rep, validate(rep))
+            self.resolved[ds] = self.resolved[rep] = pair
+            return pair
 
     def candidates(self, spec: GroupSpec, g: int, sig: Signature
                    ) -> Iterator[Tuple[WeakClass, Restriction]]:
@@ -376,8 +390,9 @@ def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,
     """Decide whether the pair extends: a symmetric witness on the forced
     quotient signature wins, else an Alt(n) x C_2 vector, else not liftable
     (undetermined for n = 6, whose exotic extensions are out of scope)."""
-    ds = resolved_representative(ds)
-    g = validate(ds)
+    searches = budget if isinstance(budget, _ExtensionSearches) \
+        else _ExtensionSearches.under(budget)
+    ds, g = searches.resolve(ds)
     _check_descent(ds, inv)
     n = ds.n
     perm, notes = _normalize_perm(ds, inv)
@@ -387,8 +402,6 @@ def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,
     normalized = perm if perm != inv.perm else None
     working = InvolutionDescent(inv.d, perm)
     sig = quotient_signature(ds, working)
-    searches = budget if isinstance(budget, _ExtensionSearches) \
-        else _ExtensionSearches.under(budget)
 
     try:
         best = None
@@ -468,12 +481,12 @@ def self_normalizing(ds: GroupDataSet, budget: Optional[SearchBudget] = None
     """Two routes, reported separately: the quick sufficient condition
     (sphere quotient, pairwise non-conjugate entries), and exhaustion of
     every admissible involution descent through decide_lift."""
-    ds = resolved_representative(ds)
+    searches = _ExtensionSearches.under(budget)
+    ds, _ = searches.resolve(ds)
     slots = _slots(ds)
     by_condition = ds.g0 == 0 and len(
         {(o, parts) for o, parts, _ in slots}) == len(slots)
 
-    searches = _ExtensionSearches.under(budget)
     undetermined = False
     extensions = []
     for d in involution_classes_on(ds.g0):

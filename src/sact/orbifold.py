@@ -1,7 +1,7 @@
 """Quotient-orbifold signatures and cyclic data sets.
 
-All arithmetic is exact: genus equations are solved over Fraction and any
-non-integrality is surfaced, never rounded.
+All arithmetic is exact: genus equations are solved in integers over the lcm
+of the periods, and any non-integrality is surfaced, never rounded.
 
 Text grammars:
   signature        (g0;m1,m2,...)          cone orders ascending, (g0;-) if none
@@ -57,11 +57,15 @@ def rh_genus(group_order: int, sig: Signature) -> Optional[int]:
     """Surface genus determined by 2-2g = |H| * chi(orbifold).
 
     Returns None when the equation has no non-negative integer solution.
+    Solved in integers over the lcm L of the periods: 2 - 2g is
+    |H| * ((2 - 2*g0) * L - sum((m - 1) * (L/m))) / L.
     """
-    two_minus_2g = group_order * sig.area_term()
-    if two_minus_2g.denominator != 1 or (2 - two_minus_2g) % 2 != 0:
+    lcm = math.lcm(*sig.periods)
+    area = (2 - 2 * sig.g0) * lcm - sum((m - 1) * (lcm // m) for m in sig.periods)
+    two_minus_2g, rest = divmod(group_order * area, lcm)
+    if rest or two_minus_2g % 2 != 0:
         return None
-    g = (2 - int(two_minus_2g)) // 2
+    g = (2 - two_minus_2g) // 2
     return g if g >= 0 else None
 
 

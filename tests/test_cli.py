@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sact.cli import _emit, main
+from sact import cache as result_cache
+from sact.cli import CACHE_SCHEMA, _emit, main
 
 
 def run(capsys, *argv):
@@ -53,6 +54,28 @@ def test_classify_cache_roundtrip(tmp_path, capsys):
     code4, out4, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path),
                          "--format", "json")
     assert json.loads(out4)["removed"] == 1
+
+
+def test_cache_entry_of_another_schema_is_a_miss(tmp_path, capsys):
+    args = ["classify", "--genus", "10", "--group", "S4",
+            "--cache-dir", str(tmp_path), "--format", "json"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    _, info, _ = run(capsys, "cache", "info", "--cache-dir", str(tmp_path),
+                     "--format", "json")
+    key = json.loads(info)["entries"][0]["key"]
+    assert key["schema"] == CACHE_SCHEMA
+    rows = json.loads(out)["rows"]
+    forged = [dict(row, factor_sigma="forged") for row in rows]
+    result_cache.clear(str(tmp_path))
+    # a forged entry under the current key is served, which shows the key
+    # matches; the same entry under another schema is not
+    result_cache.store(str(tmp_path), key, {"rows": forged, "complete": True})
+    assert json.loads(run(capsys, *args)[1])["rows"] == forged
+    result_cache.clear(str(tmp_path))
+    result_cache.store(str(tmp_path), dict(key, schema=CACHE_SCHEMA - 1),
+                       {"rows": forged, "complete": True})
+    assert run(capsys, *args)[1] == out
 
 
 def test_csv_fields_round_trip(capsys):

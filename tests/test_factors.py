@@ -1,16 +1,22 @@
+import math
+
 import pytest
 
-from golden import (DODECAHEDRAL_A, GENUS10_ROWS, GENUS11_ROWS, ICOSAHEDRAL_A,
+from golden import (DA2_A, DODECAHEDRAL_A, GENUS10_ROWS, GENUS11_ROWS,
+                    ICOSAHEDRAL_A, ICOSAHEDRAL_LIFT_S, ICOSAHEDRAL_LIFT_S2,
                     POLYHEDRAL_FACTORS, POLYHEDRAL_FACTORS_S, CUBIC_S,
-                    OCTAHEDRAL_S, TETRAHEDRAL_A)
+                    OCTAHEDRAL_S, OCTAHEDRAL_S2, TETRAHEDRAL_A)
 from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
-from sact.errors import GenusMismatch, MembershipError
-from sact.factors import (cyclic_factor, fixed_point_count,
+from sact.errors import (GenusMismatch, MembershipError, NonIntegralError,
+                         SactError)
+from sact.factors import (_class_factor, _class_fixed_points, _direct_factor,
+                          cyclic_factor, fixed_point_count,
                           fixed_point_profile, is_hyperelliptic,
                           is_irreducible, obstruction_report,
                           standard_factors, weakly_generates)
-from sact.groups import alt, alt_c2, group_table, sym
+from sact.groups import (CLOSURE_ORDER_CAP, GroupTable, alt, alt_c2,
+                         centralizer_order, group_table, sym)
 from sact.orbifold import cyclic_data_set, parse_cyclic, validate_cyclic
 from sact.perm import parse_perm
 from sact.vectors import enumerate_weak_classes
@@ -213,3 +219,115 @@ def test_fixed_point_profile():
     four = parse_perm("(1 2 3 4)", 4)
     assert fixed_point_profile(octa, four) == \
         {(4, 1): 2, (4, 3): 2, (2, 1): 4}
+
+
+# ---------------------------------------------------------------------------
+# class-function tables against the direct formula
+
+
+# A genus-49 Sym(6) action with composite element orders, and a genus-136
+# Alt(7) action, both found by enumerate_weak_classes.
+S6_AT_49 = "(6,0;[(5 6),2;2],[(2 3 4 5 6),5;5],[(1 2 3 4 5 6),6;6])"
+A7_AT_136 = "(7,0;[(4 5)(6 7),2;2,2],[(1 2 3 4)(5 6),4;2,4],[(1 4 6 7 5 3 2),7;7])"
+# Shape-valid but not realizable: some factors have a non-integral or a
+# negative quotient genus, or fail validate_cyclic.
+S4_UNREALIZABLE = ("(4,0;[(1 2),2;2]^[3],[(1 2 3 4),4;4]^[2])",
+                   "(4,0;[(1 2)(3 4),2;2,2]^[5])")
+
+
+def _factor_data_sets():
+    """(spec, data set) for every data set this file and the acceptance
+    suite parse, on A4, A5, A6, S4 and S5, plus one S6 action."""
+    texts = [(name, text) for name, text, _, _ in GENUS10_ROWS + GENUS11_ROWS]
+    texts += [("A", text) for text in POLYHEDRAL_FACTORS]
+    texts += [("S", text) for text in POLYHEDRAL_FACTORS_S]
+    texts += [("A", ICOSAHEDRAL_A), ("S", ICOSAHEDRAL_LIFT_S),
+              ("S", ICOSAHEDRAL_LIFT_S2), ("S", OCTAHEDRAL_S2), ("A", DA2_A),
+              ("S", "(5,1;[(1 2 3),3;3])"), ("S", "(4,2;[(1 2)(3 4),2;2,2]^[2])"),
+              ("S", S6_AT_49)] + [("S", text) for text in S4_UNREALIZABLE]
+    out = []
+    for name, text in dict.fromkeys(texts):
+        ds = parse_dataset(text, ALTERNATING if name.startswith("A") else SYMMETRIC)
+        out.append(ds)
+    return out
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns or raises, as comparable text."""
+    try:
+        return str(fn(*args))
+    except SactError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_class_factor_matches_direct_formula_on_every_element():
+    data_sets = _factor_data_sets()
+    assert {ds.spec.name for ds in data_sets} == {"A4", "A5", "A6", "S4", "S5", "S6"}
+    raised = 0
+    for ds in data_sets:
+        table = group_table(ds.spec)
+        for x in table.elements:
+            if x.is_identity():
+                continue
+            want = _outcome(_direct_factor, ds, x)
+            assert _outcome(_class_factor, ds, table.class_id(x)) == want, (ds, x)
+            raised += not want.startswith("(")
+    assert raised > 0  # the unrealizable data sets fail alike on both paths
+
+
+def test_class_fixed_points_match_fixed_point_count():
+    data_sets = {"A4": TETRAHEDRAL_A, "A5": ICOSAHEDRAL_A, "A6": GENUS10_ROWS[3][1],
+                 "A7": A7_AT_136, "S4": OCTAHEDRAL_S, "S5": GENUS11_ROWS[5][1],
+                 "S6": S6_AT_49}
+    compared = 0
+    for name, text in data_sets.items():
+        ds = parse_dataset(text, ALTERNATING if name.startswith("A") else SYMMETRIC)
+        assert ds.spec.name == name
+        table = group_table(ds.spec)
+        entries = [(table.class_id(e.rep), e.order, e.mult) for e in ds.entries]
+        for ci, cl in enumerate(table.classes):
+            m = cl.rep.order()
+            for u in range(1, m):
+                if math.gcd(u, m) == 1:
+                    assert _class_fixed_points(table, entries, ci, u, m) == \
+                        fixed_point_count(ds, cl.rep, u, m), (name, cl.rep, u)
+                    compared += 1
+    assert compared == 93  # units of every class of the seven groups
+
+
+def test_power_class_and_centralizer_order_against_elements():
+    for spec in (alt(5), sym(5), alt_c2(4)):
+        table = group_table(spec)
+        for ci, cl in enumerate(table.classes):
+            assert table.centralizer_order(ci) == centralizer_order(spec, cl.rep)
+            for k in range(-1, 2 * cl.rep.order() + 1):
+                assert table.power_class(ci, k) == table.class_id(cl.rep ** k)
+
+
+def test_class_factor_runs_once_per_class():
+    ds = parse_dataset(ICOSAHEDRAL_A, ALTERNATING)
+    table = group_table(alt(5))
+    five = table.classes[table.class_id(parse_perm("(1 2 3 4 5)", 5))]
+    _class_factor.cache_clear()
+    factors = {str(cyclic_factor(ds, x)) for x in five.elements}
+    info = _class_factor.cache_info()
+    assert factors == {"(5,3;(1,5)^[2],(4,5)^[2])"}
+    assert (info.misses, info.hits) == (1, five.size - 1)
+
+
+def test_factor_above_the_closure_cap_builds_no_table(monkeypatch):
+    # factors as the direct formula gave them before class tables existed
+    def no_table(self, spec):
+        raise AssertionError(f"group table built for {spec.name}")
+
+    monkeypatch.setattr(GroupTable, "__init__", no_table)
+    ds = parse_dataset("(8,1;[(1 2 3),3;3],[(1 2)(3 4 5 6),4;2,4]^[2])", ALTERNATING)
+    assert ds.spec.order > CLOSURE_ORDER_CAP
+    for x, want in [("(1 2 3)", "(3,7241;(1,3)^[60],(2,3)^[60])"),
+                    ("(1 2 3 4)(5 6)", "(4,5453;(1,2)^[20],(1,4)^[4],(3,4)^[4])"),
+                    ("(1 2 3 4 5 6)(7 8)", "(6,3641;-)")]:
+        assert str(cyclic_factor(ds, parse_perm(x, 8))) == want
+    bad = parse_dataset(
+        "(8,0;[(1 2),2;2],[(1 2 3 4 5 6 7),7;7],[(1 2 3 4 5 6 7 8),8;8])", SYMMETRIC)
+    with pytest.raises(NonIntegralError, match=r"multiplicity 21/2 at \(u=1, t=2\)"):
+        cyclic_factor(bad, parse_perm("(1 2 3 4 5 6 7 8)", 8))

@@ -279,6 +279,22 @@ def test_shared_search_keeps_each_candidates_own_descent():
     assert list(searches.candidates(spec, 21, sig)) == first
 
 
+def test_self_normalizing_validates_its_data_set_once(monkeypatch):
+    calls = {"validate": 0, "decide_lift": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sact.lifting, name, counted(name, getattr(sact.lifting, name)))
+    report = self_normalizing(parse_dataset(DA2_A, ALTERNATING))
+    assert report.extensions
+    assert calls["decide_lift"] > 1 and calls["validate"] == 1
+
+
 def test_involution_classes_on_surface():
     assert [str(d) for d in involution_classes_on(0)] == ["(2,0;(1,2)^[2])"]
     got = {str(d) for d in involution_classes_on(1)}

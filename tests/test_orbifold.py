@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sact.errors import ParseError, ValidationFailure
+from sact.errors import NonIntegralError, ParseError, ValidationFailure
+from sact.factors import _quotient_genus
 from sact.groups import alt, alt_c2, sym
 from sact.orbifold import (CyclicDataSet, Signature, cyclic_data_set,
                            cyclic_from_json, cyclic_to_json,
@@ -121,3 +122,47 @@ def test_bad_syntax():
         parse_cyclic("5,3;(1,5)")
     with pytest.raises(ParseError):
         parse_cyclic("(5,3;(1 5))")
+
+
+def _rh_genus_by_fractions(order, sig):
+    two_minus_2g = order * (Fraction(2 - 2 * sig.g0)
+                            - sum(Fraction(m - 1, m) for m in sig.periods))
+    if two_minus_2g.denominator != 1 or (2 - two_minus_2g) % 2 != 0:
+        return None
+    g = (2 - int(two_minus_2g)) // 2
+    return g if g >= 0 else None
+
+
+def _quotient_genus_by_fractions(g, d, cones):
+    chi = Fraction(2 - 2 * g, d) + sum(Fraction(t - 1, t) for _, t in cones)
+    g0 = (Fraction(2) - chi) / 2
+    if g0.denominator != 1 or g0 < 0:
+        raise NonIntegralError(f"quotient genus {g0}")
+    return int(g0)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonIntegralError as exc:
+        return str(exc)
+
+
+def test_integer_genus_equations_match_fractions():
+    # every signature with g0 <= 2 and at most 6 periods from 2..7; the
+    # quotient genus is solved back from the genus found and from genus 2
+    seen = set()
+    for r in range(7):
+        for periods in itertools.combinations_with_replacement(range(2, 8), r):
+            cones = [(1, m) for m in periods]
+            for g0 in range(3):
+                sig = Signature(g0, periods)
+                for order in (7, 12, 24, 60, 120, 360, 720):
+                    g = _rh_genus_by_fractions(order, sig)
+                    assert rh_genus(order, sig) == g, (order, sig)
+                    seen.add("no genus" if g is None else "genus")
+                    for genus in {g, 2} - {None}:
+                        want = _outcome(_quotient_genus_by_fractions, genus, order, cones)
+                        assert _outcome(_quotient_genus, genus, order, cones) == want
+                        seen.add("raises" if isinstance(want, str) else "quotient genus")
+    assert seen == {"no genus", "genus", "raises", "quotient genus"}
