@@ -14,6 +14,7 @@ Text grammar: ``(n,g0;[(1 2)(3 4),2;2,2]^[2],[(1 2 3 4 5),5;5],...)`` with
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -51,6 +52,15 @@ class GroupDataSet:
     g0: int
     entries: Tuple[Entry, ...]
     witnesses: Optional[Tuple[Perm, Perm]] = None  # handle pair for g0 = 1
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the hash the dataclass would compute, once per instance: data sets
+        # key the factor memos, and rehashing nests down to every Perm
+        return hash((self.kind, self.n, self.g0, self.entries, self.witnesses))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def spec(self) -> GroupSpec:

@@ -36,7 +36,8 @@ from .errors import (GenusMismatch, MembershipError, NegativeMultiplicityError,
                      NonIntegralError)
 from .groups import (CLOSURE_ORDER_CAP, GroupSpec, GroupTable, are_conjugate,
                      centralizer_order, group_table, require_member, spans)
-from .orbifold import CyclicDataSet, cyclic_data_set, validate_cyclic
+from .orbifold import (CyclicDataSet, cyclic_data_set, quotient_genus,
+                       validate_cyclic)
 from .perm import Perm
 from .vectors import SearchBudget, WeakClassList, enumerate_weak_classes
 
@@ -171,21 +172,14 @@ def _unwind(g: int, d: int, count: Callable[[int, int], int]) -> CyclicDataSet:
         for u, k in sorted(mult[t].items()):
             if k:
                 cones.extend([(pow(u, -1, t), t)] * k)
-    factor = cyclic_data_set(d, _quotient_genus(g, d, cones), cones)
+    g0 = quotient_genus(g, d, [t for _, t in cones], _non_integral_quotient)
+    factor = cyclic_data_set(d, g0, cones)
     assert validate_cyclic(factor) == g
     return factor
 
 
-def _quotient_genus(g: int, d: int, cones: Sequence) -> int:
-    """g0 with 2 - 2g = d * (2 - 2*g0 - sum(1 - 1/t)), solved in integers
-    over the lcm L of d and the cone orders: chi * L = (2 - 2*g0) * L =
-    (2 - 2g) * (L/d) + sum((t - 1) * (L/t))."""
-    lcm = math.lcm(d, *(t for _, t in cones))
-    chi_lcm = (2 - 2 * g) * (lcm // d) + sum((t - 1) * (lcm // t) for _, t in cones)
-    g0, rest = divmod(2 * lcm - chi_lcm, 2 * lcm)
-    if rest or g0 < 0:
-        raise NonIntegralError(f"quotient genus {Fraction(2 * lcm - chi_lcm, 2 * lcm)}")
-    return g0
+def _non_integral_quotient(g0: Fraction) -> NonIntegralError:
+    return NonIntegralError(f"quotient genus {g0}")
 
 
 def standard_factors(ds: GroupDataSet) -> tuple:

@@ -314,14 +314,23 @@ def _closure_order(gens: Sequence[Perm], degree: int, within: int) -> int:
     """Order of <gens> by closure, returning `within` as soon as more than
     half of it is found."""
     identity = tuple(range(1, degree + 1))
-    # a leading 0 makes the image tuple indexable by 1-based points, so
-    # itemgetter(*h)(g) is the image tuple of g * h
     padded = {(0,) + g.images for g in gens if g.images != identity}
     if not padded:
         return 1
-    half = within // 2
     seen = {identity}
-    frontier = [identity]
+    if not _close(seen, [identity], padded, within // 2):
+        return within
+    return len(seen)
+
+
+def _close(seen: set, frontier: list, padded: Iterable[tuple], cap: int) -> bool:
+    """Close `seen`, a set of image tuples, under left multiplication by the
+    padded generators, expanding from the elements listed in `frontier`.
+
+    A leading 0 makes a generator's image tuple indexable by 1-based points,
+    so itemgetter(*h)(g) is the image tuple of g * h.  Returns False as soon
+    as `seen` holds more than `cap` elements, leaving it partial.
+    """
     while frontier:
         fresh = []
         for h in frontier:
@@ -330,11 +339,11 @@ def _closure_order(gens: Sequence[Perm], degree: int, within: int) -> int:
                 k = compose(g)
                 if k not in seen:
                     seen.add(k)
-                    if len(seen) > half:
-                        return within
+                    if len(seen) > cap:
+                        return False
                     fresh.append(k)
         frontier = fresh
-    return len(seen)
+    return True
 
 
 def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
@@ -530,6 +539,12 @@ class GroupTable:
         self._support_cache = {}
         self._closure_cache = {}
         self._commutator_class_ids = None
+        # Subgroups as int bitmasks over `elements`: bit i marks elements[i].
+        self.trivial_mask = 1 << self.elements.index(self.identity)
+        self.full_mask = (1 << len(self.elements)) - 1
+        self._index = None
+        self._join_cache = {}
+        self._mask_gens = {self.trivial_mask: ()}
 
     def _build_elements(self):
         spec = self.spec
@@ -619,16 +634,50 @@ class GroupTable:
         return closed
 
     def commutator_class_ids(self) -> frozenset:
-        """Class ids of single commutators [a, b]."""
+        """Class ids of single commutators [a, b].
+
+        [a, b] = a * (b a^-1 b^-1), and b a^-1 b^-1 runs over the class of
+        a^-1 as b runs over the group, so the commutators [a, b] with a in
+        class C land in product_support(C, class of rep_C^-1).
+        """
         if self._commutator_class_ids is None:
             found = set()
-            for cl in self.classes:
-                a = cl.rep
-                a_inv = a.inverse()
-                for b in self.elements:
-                    found.add(self._class_of[a * b * a_inv * b.inverse()])
+            for ci, cl in enumerate(self.classes):
+                found |= self.product_support(ci, self._class_of[cl.rep.inverse()])
             self._commutator_class_ids = frozenset(found)
         return self._commutator_class_ids
+
+    def join(self, mask: int, x: Perm) -> int:
+        """Bitmask of <H, x>, where `mask` is the bitmask of H.
+
+        H must be trivial_mask or a mask join returned, since each mask
+        keeps the generators it was closed from.  The closure expands H's
+        elements breadth-first on image tuples and stops with full_mask once
+        more than half the group is found (Lagrange).  Memoized per
+        (mask, x).
+        """
+        key = (mask, x.images)
+        out = self._join_cache.get(key)
+        if out is None:
+            if self._index is None:
+                self._index = {p.images: i for i, p in enumerate(self.elements)}
+            index = self._index
+            if mask >> index[x.images] & 1:
+                out = mask
+            else:
+                gens = self._mask_gens[mask] + ((0,) + x.images,)
+                # bit i of mask is character -1 - i of its binary text
+                seen = {self.elements[i].images
+                        for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}
+                if _close(seen, list(seen), gens, len(self.elements) // 2):
+                    out = 0
+                    for k in seen:
+                        out |= 1 << index[k]
+                else:
+                    out = self.full_mask
+                self._mask_gens.setdefault(out, gens)
+            self._join_cache[key] = out
+        return out
 
     def identity_class_id(self) -> int:
         return self._class_of[self.identity]

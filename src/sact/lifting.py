@@ -33,8 +33,8 @@ from .errors import (BudgetExhausted, GenusMismatch, NotIndexTwo,
                      ValidationFailure)
 from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2,
                      split_label)
-from .orbifold import (CyclicDataSet, Signature, cyclic_data_set, rh_genus,
-                       validate_cyclic)
+from .orbifold import (CyclicDataSet, Signature, cyclic_data_set,
+                       quotient_genus, rh_genus, validate_cyclic)
 from .perm import Perm
 from .vectors import (GeneratingVector, SearchBudget, WeakClass,
                       enumerate_weak_classes, materialize_vector,
@@ -77,6 +77,10 @@ def _coset_data(spec: GroupSpec):
     raise NotIndexTwo(f"{spec.name} has no canonical index-2 subgroup here")
 
 
+def _non_integral_descent(g0: Fraction) -> ValidationFailure:
+    return ValidationFailure("genus-integrality", f"descended quotient genus {g0}")
+
+
 def index2_restrict(v: GeneratingVector) -> Restriction:
     """Descend a Sym(n) or Alt(n) x C_2 vector to its alternating half.
 
@@ -107,11 +111,8 @@ def index2_restrict(v: GeneratingVector) -> Restriction:
     g = rh_genus(spec.order, v.sig)
     if g is None:
         raise ValidationFailure("genus-integrality", f"vector signature {v.sig}")
-    chi = Fraction(2 - 2 * g, alt_spec.order) + sum(Fraction(m - 1, m) for _, m in cones)
-    g0_prime = (2 - chi) / 2
-    if g0_prime.denominator != 1 or g0_prime < 0:
-        raise ValidationFailure("genus-integrality", f"descended quotient genus {g0_prime}")
-    g0_prime = int(g0_prime)
+    g0_prime = quotient_genus(g, alt_spec.order, [m for _, m in cones],
+                              _non_integral_descent)
 
     d = cyclic_data_set(2, v.sig.g0, [(1, 2)] * ell)
     if validate_cyclic(d) != g0_prime:

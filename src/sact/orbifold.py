@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationFailure
 from .groups import GroupSpec
@@ -67,6 +67,22 @@ def rh_genus(group_order: int, sig: Signature) -> Optional[int]:
         return None
     g = (2 - two_minus_2g) // 2
     return g if g >= 0 else None
+
+
+def quotient_genus(g: int, order: int, periods: Sequence[int],
+                   error: Callable[[Fraction], Exception]) -> int:
+    """The g0 with 2 - 2g = order * (2 - 2*g0 - sum(1 - 1/m)).
+
+    Solved in integers over the lcm L of the order and the periods:
+    (2 - 2*g0) * L = (2 - 2g) * (L/order) + sum((m - 1) * (L/m)).  When g0
+    is not a non-negative integer, raises error(g0), g0 as a Fraction.
+    """
+    lcm = math.lcm(order, *periods)
+    chi_lcm = (2 - 2 * g) * (lcm // order) + sum((m - 1) * (lcm // m) for m in periods)
+    g0, rest = divmod(2 * lcm - chi_lcm, 2 * lcm)
+    if rest or g0 < 0:
+        raise error(Fraction(2 * lcm - chi_lcm, 2 * lcm))
+    return g0
 
 
 def enumerate_signatures(group: GroupSpec, g: int) -> list:

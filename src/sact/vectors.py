@@ -14,10 +14,16 @@ normal subgroup cannot generate and is dropped before any search; the rest
 have their per-position class choices pruned by exact class-product
 reachability, then representatives are filled in by depth-first search with
 the last elliptic forced (quotient genus 0) or the handles solved by an
-exhaustive commutator scan (genus >= 1, datasets.handle_solutions).  Every
-generation test goes through groups.spans, whose orbit and block pre-checks
-reject most non-generating vectors before orders are compared, by closure
-with a Lagrange cut up to order 5040, Schreier-Sims above.
+exhaustive commutator scan (genus >= 1, datasets.handle_solutions).
+
+Below position i the subtree depends only on i, the partial product and,
+for quotient genus 0 or 1, the subgroup H the chosen elliptics generate,
+kept as a bitmask on the group table (GroupTable.join).  Each search keeps
+the states whose subtree yielded nothing and skips them when they recur
+(nogood recording), which is exact.  A genus-0 leaf generates exactly when
+H is the whole group, so it runs no generation test; a genus-1 leaf tests
+each commutator solution with groups.spans, whose orbit and block
+pre-checks reject most non-generating vectors before orders are compared.
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """
@@ -160,26 +166,29 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
         return
 
     identity = table.identity
+    # the subgroup the chosen elliptics generate, as a table bitmask; at
+    # g0 >= 2 the standard handle pair generates, so it is not tracked
+    track = g0 <= 1
     chosen: list = []
+    # (i, partial product, subgroup) states whose subtree yielded nothing:
+    # the subtree below position i depends on nothing else
+    dead = set()
 
-    def emit():
-        product = identity
-        for x in chosen:
-            product = product * x
+    def leaf(product: Perm, group: Optional[int]) -> Iterator[GeneratingVector]:
+        if g0 == 0:
+            # the forced last elliptic makes the product trivial
+            if group == table.full_mask:
+                yield GeneratingVector(spec, sig, tuple(chosen), ())
+            return
         for handles in handle_solutions(spec, g0, chosen, product, clock.tick):
             yield GeneratingVector(spec, sig, tuple(chosen), handles)
 
-    def dfs(i: int, partial: Perm):
-        clock.tick()
-        if i == r:
-            yield from emit()
-            return
+    def steps(i: int, partial: Perm) -> Iterator[tuple]:
+        """(x, partial * x) for each admissible choice at position i."""
         if g0 == 0 and i == r - 1:
             forced = partial.inverse()
             if table.class_id(forced) == class_ids[i]:
-                chosen.append(forced)
-                yield from dfs(i + 1, identity)
-                chosen.pop()
+                yield forced, identity
             return
         if normalize_first and i == 0:
             candidates = (table.classes[class_ids[0]].rep,)
@@ -188,11 +197,32 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
         for x in candidates:
             p2 = partial * x
             if table.class_id(p2) in reach[i + 1]:
-                chosen.append(x)
-                yield from dfs(i + 1, p2)
-                chosen.pop()
+                yield x, p2
 
-    yield from dfs(0, identity)
+    def dfs(i: int, partial: Perm, group: Optional[int]
+            ) -> Iterator[GeneratingVector]:
+        clock.tick()
+        found = False
+        if i == r:
+            for vec in leaf(partial, group):
+                found = True
+                yield vec
+        else:
+            for x, p2 in steps(i, partial):
+                h2 = table.join(group, x) if track else None
+                if (i + 1, p2.images, h2) in dead:
+                    continue
+                chosen.append(x)
+                for vec in dfs(i + 1, p2, h2):
+                    found = True
+                    yield vec
+                chosen.pop()
+        # reached only when the subtree ran to the end: a budget stop or a
+        # closed generator records nothing
+        if not found:
+            dead.add((i, partial.images, group))
+
+    yield from dfs(0, identity, table.trivial_mask if track else None)
 
 
 def _class_tuples(table, periods: Sequence[int]):

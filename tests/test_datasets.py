@@ -191,3 +191,24 @@ def test_g0_1_witness_clause():
     with pytest.raises(ValidationFailure) as err:
         validate(stored)
     assert err.value.condition == "witness"
+
+
+def test_equal_data_sets_hash_equal_and_hash_once(monkeypatch):
+    texts = [ICOSAHEDRAL_A, OCTAHEDRAL_A, TETRAHEDRAL_A, CUBIC_A_VALID]
+    first = [parse_dataset(t, ALTERNATING) for t in texts]
+    again = [parse_dataset(t, ALTERNATING) for t in texts]
+    witnessed = GroupDataSet(first[1].kind, first[1].n, first[1].g0, first[1].entries,
+                             witnesses=find_handle_witnesses(first[1]))
+    rebuilt = dataset_from_json(dataset_to_json(witnessed))
+    for a, b in list(zip(first, again)) + [(witnessed, rebuilt)]:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        # the value the generated dataclass hash gave, so set orders hold
+        assert hash(a) == hash((a.kind, a.n, a.g0, a.entries, a.witnesses))
+    assert witnessed != first[1]
+    assert len({*first, *again, witnessed, rebuilt}) == len(texts) + 1
+    # a second lookup does not rehash the entries
+    ds = parse_dataset(CUBIC_A_VALID, ALTERNATING)
+    hash(ds)
+    monkeypatch.setattr(Perm, "__hash__", lambda self: 1 / 0)
+    assert hash(ds) == hash(again[3])

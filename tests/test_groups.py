@@ -383,3 +383,50 @@ def test_element_orders():
     assert sorted(alt(6).element_orders()) == [1, 2, 3, 4, 5]
     assert sorted(alt_c2(5).element_orders()) == [1, 2, 3, 5, 6, 10]
     assert sorted(alt_c2(4).element_orders()) == [1, 2, 3, 6]
+
+
+def _commutator_classes_by_scan(table):
+    """The scan commutator_class_ids ran before it read class products."""
+    found = set()
+    for cl in table.classes:
+        a = cl.rep
+        for b in table.elements:
+            found.add(table.class_id(a * b * a.inverse() * b.inverse()))
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("spec", [alt(4), alt(5), alt(6), sym(4), sym(5), sym(6),
+                                  alt_c2(4), alt_c2(5), alt_c2(6), sym(7)], ids=str)
+def test_commutator_class_ids_match_the_scan(spec):
+    table = sact.groups.GroupTable(spec)
+    assert table.commutator_class_ids() == _commutator_classes_by_scan(table)
+
+
+def _generated(gens, identity):
+    """Elements of <gens> by plain closure on Perm products."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [g * h for h in frontier for g in gens if g * h not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("spec", [sym(4), alt(5), alt_c2(4), sym(5), alt_c2(5)], ids=str)
+def test_join_is_the_generated_subgroup(spec):
+    """Chains of joins from the trivial mask mark exactly the elements the
+    chosen ones generate, and a chain that generates ends at full_mask."""
+    table = sact.groups.GroupTable(spec)
+    rng = random.Random(7)
+    for _ in range(40):
+        mask, chosen = table.trivial_mask, []
+        for x in rng.sample(table.elements, 4):
+            joined = table.join(mask, x)
+            assert table.join(mask, x) == joined
+            chosen.append(x)
+            marked = {p for i, p in enumerate(table.elements) if joined >> i & 1}
+            assert marked == _generated(chosen, table.identity)
+            assert (joined == table.full_mask) == spans(spec, chosen)
+            assert table.join(joined, x) == joined
+            mask = joined
+    assert table.join(table.full_mask, table.elements[1]) == table.full_mask

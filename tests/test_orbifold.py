@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from sact.errors import NonIntegralError, ParseError, ValidationFailure
-from sact.factors import _quotient_genus
+from sact.factors import _non_integral_quotient
 from sact.groups import alt, alt_c2, sym
+from sact.lifting import _non_integral_descent
 from sact.orbifold import (CyclicDataSet, Signature, cyclic_data_set,
                            cyclic_from_json, cyclic_to_json,
-                           enumerate_signatures, parse_cyclic, rh_genus,
-                           signature, validate_cyclic)
+                           enumerate_signatures, parse_cyclic,
+                           quotient_genus, rh_genus, signature,
+                           validate_cyclic)
 
 
 def test_rh_genus_worked_values():
@@ -141,16 +143,26 @@ def _quotient_genus_by_fractions(g, d, cones):
     return int(g0)
 
 
+def _descended_genus_by_fractions(g, order, cones):
+    """The descended quotient genus as index2_restrict solved it in Fractions."""
+    chi = Fraction(2 - 2 * g, order) + sum(Fraction(m - 1, m) for _, m in cones)
+    g0_prime = (2 - chi) / 2
+    if g0_prime.denominator != 1 or g0_prime < 0:
+        raise ValidationFailure("genus-integrality", f"descended quotient genus {g0_prime}")
+    return int(g0_prime)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except NonIntegralError as exc:
-        return str(exc)
+    except (NonIntegralError, ValidationFailure) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def test_integer_genus_equations_match_fractions():
     # every signature with g0 <= 2 and at most 6 periods from 2..7; the
-    # quotient genus is solved back from the genus found and from genus 2
+    # quotient genus is solved back from the genus found and from genus 2,
+    # once with the cyclic-factor error and once with the index-2 descent's
     seen = set()
     for r in range(7):
         for periods in itertools.combinations_with_replacement(range(2, 8), r):
@@ -162,7 +174,12 @@ def test_integer_genus_equations_match_fractions():
                     assert rh_genus(order, sig) == g, (order, sig)
                     seen.add("no genus" if g is None else "genus")
                     for genus in {g, 2} - {None}:
-                        want = _outcome(_quotient_genus_by_fractions, genus, order, cones)
-                        assert _outcome(_quotient_genus, genus, order, cones) == want
-                        seen.add("raises" if isinstance(want, str) else "quotient genus")
-    assert seen == {"no genus", "genus", "raises", "quotient genus"}
+                        for reference, error in [
+                                (_quotient_genus_by_fractions, _non_integral_quotient),
+                                (_descended_genus_by_fractions, _non_integral_descent)]:
+                            want = _outcome(reference, genus, order, cones)
+                            got = _outcome(quotient_genus, genus, order, periods, error)
+                            assert got == want
+                            seen.add(want[0] if isinstance(want, tuple) else "quotient genus")
+    assert seen == {"no genus", "genus", "NonIntegralError", "ValidationFailure",
+                    "quotient genus"}

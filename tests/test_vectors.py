@@ -3,17 +3,19 @@ import itertools
 import pytest
 
 from golden import GENUS10_ROWS, GENUS11_ROWS, TETRAHEDRAL_A
+import sact.vectors
 from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
-                           equivalent, parse_dataset, validate)
+                           equivalent, handle_solutions, parse_dataset,
+                           validate)
 from sact.errors import BudgetExhausted, PeriodNotRealizable, ValidationFailure
 from sact.groups import (GroupTable, alt, alt_c2, group_table, subgroup_order,
                          sym)
-from sact.orbifold import enumerate_signatures, signature
+from sact.orbifold import Signature, enumerate_signatures, signature
 from sact.perm import Perm
-from sact.vectors import (SearchBudget, dataset_from_vector,
-                          enumerate_vectors, enumerate_weak_classes,
-                          materialize_vector, validate_vector,
-                          vectors_for_dataset)
+from sact.vectors import (GeneratingVector, SearchBudget, _feasible_end_ids,
+                          dataset_from_vector, enumerate_vectors,
+                          enumerate_weak_classes, materialize_vector,
+                          validate_vector, vectors_for_dataset)
 
 
 def test_enumerate_vectors_basic():
@@ -183,7 +185,7 @@ def test_budget_exhaustion_is_reported():
 @pytest.mark.parametrize("spec,g,nodes,unfinished", [
     (alt(4), 10, 12, ["(1;2,2,2)"]),
     (alt_c2(4), 7, 14, ["(1;2)"]),
-    (sym(4), 10, 58, ["(0;2,4,4,4)", "(0;3,3,3,4)", "(1;4)"]),
+    (sym(4), 10, 28, ["(0;2,4,4,4)", "(0;3,3,3,4)", "(1;4)"]),
 ], ids=["A4@10", "AxC24@7", "S4@10"])
 def test_node_budget_is_exact(spec, g, nodes, unfinished):
     """Each DFS node and each scanned commutator presentation of a g0 = 1
@@ -300,3 +302,85 @@ def test_normal_closure_prune_fires(monkeypatch):
                         lambda self, ids: frozenset(range(len(self.classes))))
     assert not enumerate_weak_classes(alt(4), 10,
                                       budget=SearchBudget(max_nodes=12)).complete
+
+
+def _reference_vectors_for_classes(spec, g0, class_ids, clock, normalize_first=False):
+    """The class-tuple DFS without the dead-state memo: every state is
+    expanded, and every leaf runs the handle solver's generation test."""
+    table = group_table(spec)
+    if g0 == 0 and len(table.normal_closure(class_ids)) < len(table.classes):
+        return
+    r = len(class_ids)
+    periods = tuple(sorted(table.classes[c].rep.order() for c in class_ids))
+    sig = Signature(g0, periods)
+    reach = [None] * (r + 1)
+    reach[r] = _feasible_end_ids(table, g0)
+    for i in range(r - 1, -1, -1):
+        reach[i] = frozenset(x for x in range(len(table.classes))
+                             if table.product_support(x, class_ids[i]) & reach[i + 1])
+    if table.identity_class_id() not in reach[0]:
+        return
+    chosen = []
+
+    def dfs(i, partial):
+        clock.tick()
+        if i == r:
+            for handles in handle_solutions(spec, g0, chosen, partial, clock.tick):
+                yield GeneratingVector(spec, sig, tuple(chosen), handles)
+            return
+        if g0 == 0 and i == r - 1:
+            forced = partial.inverse()
+            if table.class_id(forced) == class_ids[i]:
+                chosen.append(forced)
+                yield from dfs(i + 1, table.identity)
+                chosen.pop()
+            return
+        if normalize_first and i == 0:
+            candidates = (table.classes[class_ids[0]].rep,)
+        else:
+            candidates = table.classes[class_ids[i]].elements
+        for x in candidates:
+            p2 = partial * x
+            if table.class_id(p2) in reach[i + 1]:
+                chosen.append(x)
+                yield from dfs(i + 1, p2)
+                chosen.pop()
+
+    yield from dfs(0, table.identity)
+
+
+# Only S6@1081 (2;2,2) has more vectors than this (millions); its stream is
+# compared up to here.
+VECTOR_STREAM_CAP = 50_000
+
+
+@pytest.mark.parametrize("spec,g,sigs", COVERED_PAIRS,
+                         ids=[f"{s.name}@{g}" + ("" if sigs is None else "-sig")
+                              for s, g, sigs in COVERED_PAIRS])
+def test_dead_state_memo_matches_the_unmemoized_search(spec, g, sigs, monkeypatch):
+    """Skipping dead states and testing generation by bitmask at g0 = 0
+    changes no generating vector, no weak class and no witness vector."""
+    orders = spec.element_orders()
+    sigs_here = [sig for sig in (sigs or enumerate_signatures(spec, g))
+                 if all(m in orders for m in sig.periods)]
+    memo_rows = _weak_class_rows(spec, g, sigs)
+    memo_vectors = [list(itertools.islice(enumerate_vectors(spec, sig), VECTOR_STREAM_CAP))
+                    for sig in sigs_here]
+    monkeypatch.setattr(sact.vectors, "_vectors_for_classes",
+                        _reference_vectors_for_classes)
+    assert _weak_class_rows(spec, g, sigs) == memo_rows
+    for sig, vectors in zip(sigs_here, memo_vectors):
+        assert list(itertools.islice(enumerate_vectors(spec, sig), VECTOR_STREAM_CAP)) == vectors
+
+
+def test_dead_state_memo_fires(monkeypatch):
+    """S4 on (1;2^8) at g = 49 exhausts its double-transposition tuple, which
+    has no generating vector, within 3,000 nodes only by skipping the states
+    already proven dead; expanding every state needs more than 100,000."""
+    sig = [signature(1, [2] * 8)]
+    assert enumerate_weak_classes(sym(4), 49, signatures=sig,
+                                  budget=SearchBudget(max_nodes=3_000)).complete
+    monkeypatch.setattr(sact.vectors, "_vectors_for_classes",
+                        _reference_vectors_for_classes)
+    assert not enumerate_weak_classes(sym(4), 49, signatures=sig,
+                                      budget=SearchBudget(max_nodes=100_000)).complete
