@@ -202,10 +202,6 @@ def find_handle_witnesses(ds: GroupDataSet):
 # equivalence and canonical form
 
 
-def _type_key(e: Entry) -> tuple:
-    return (e.order, e.ctype.parts)
-
-
 def _tagged_multiset(ds: GroupDataSet, flip: bool = False) -> tuple:
     out = []
     for e in ds.entries:

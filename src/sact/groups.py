@@ -85,6 +85,7 @@ class GroupSpec:
             return (sigma, tau)
         return (embed_alt_c2(sigma, True), embed_alt_c2(tau, False))
 
+    @functools.lru_cache(maxsize=None)
     def element_orders(self) -> frozenset:
         """All element orders, computed from cycle types (no element table)."""
         if self.family == ALT_C2:
@@ -531,9 +532,10 @@ class GroupTable:
         for ci, cl in enumerate(self.classes):
             for p in cl.elements:
                 self._class_of[p] = ci
+        self.class_orders = tuple(cl.rep.order() for cl in self.classes)
         self.classes_by_order = {}
-        for ci, cl in enumerate(self.classes):
-            self.classes_by_order.setdefault(cl.rep.order(), []).append(ci)
+        for ci, m in enumerate(self.class_orders):
+            self.classes_by_order.setdefault(m, []).append(ci)
         self._centralizer_cache = {}
         self._power_class_cache = {}
         self._support_cache = {}

@@ -15,15 +15,18 @@ together with the induced permutation of the cone points.  Liftability is
 decided by enumerating candidate extensions over Sym(n) and Alt(n) x C_2 on
 the forced quotient signature and comparing descents.
 
-Matching is at the level of cycle types (the Sym-class data); whether the
-finer alternating split-class pattern also matches is reported on the
-verdict as `strict_class_match`, not used to prune.
+Matching compares orbit multisets: fixed cones and swapped pairs, tagged by
+cycle type (the Sym-class data).  Whether they also agree when tagged by the
+finer split classes, up to one global flip, is reported on the verdict as
+`strict_class_match`, not used to prune.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
@@ -138,13 +141,14 @@ def psi_map(ds: GroupDataSet, vector: Optional[GeneratingVector] = None) -> Rest
 # admissible cone permutations and descent matching
 
 
-def _slots(ds: GroupDataSet) -> list:
+@functools.lru_cache(maxsize=4096)
+def _slots(ds: GroupDataSet) -> tuple:
     """Per cone point: (order, cycle type parts, split tag)."""
     out = []
     for e in ds.entries:
         label = split_label(e.rep) if ds.kind == ALTERNATING else "whole"
         out.extend([(e.order, e.ctype.parts, label)] * e.mult)
-    return out
+    return tuple(out)
 
 
 def admissible_permutations(ds: GroupDataSet) -> list:
@@ -173,25 +177,11 @@ def admissible_permutations(ds: GroupDataSet) -> list:
     return sorted(out)
 
 
-def _type_bijections(src: list, dst: list) -> Iterator[Perm]:
-    """Bijections src position -> dst position preserving (order, type)."""
-    groups = {}
-    for i, (o, parts, _) in enumerate(src):
-        groups.setdefault((o, parts), ([], []))[0].append(i + 1)
-    for j, (o, parts, _) in enumerate(dst):
-        if (o, parts) not in groups:
-            return
-        groups[(o, parts)][1].append(j + 1)
-    if any(len(a) != len(b) for a, b in groups.values()):
-        return
-    keys = sorted(groups)
-    pools = [list(itertools.permutations(groups[k][1])) for k in keys]
-    for combo in itertools.product(*pools):
-        images = [0] * len(src)
-        for k, perm_dst in zip(keys, combo):
-            for i, j in zip(groups[k][0], perm_dst):
-                images[i - 1] = j
-        yield Perm(images)
+def _orbits(perm: Perm, tags) -> Counter:
+    """The involution's orbits as a multiset: each is a fixed cone or a
+    swapped pair, recorded as (fixed?, its cones' tags in sorted order)."""
+    return Counter((i == j, *sorted((tags[i - 1], tags[j - 1])))
+                   for i, j in enumerate(perm.images, start=1) if i <= j)
 
 
 def match_descent(target_ds: GroupDataSet, target_inv: InvolutionDescent,
@@ -199,10 +189,10 @@ def match_descent(target_ds: GroupDataSet, target_inv: InvolutionDescent,
     """(loose, strict) match of a candidate descent against a target pair.
 
     Loose: same degree and quotient genus, equal cycle-type multisets, equal
-    involution class D, and the cone permutations conjugate under some
-    type-preserving matching of cone points.  Strict additionally requires
-    the split-class tags to agree under that matching, up to a single global
-    flip.
+    involution class D, and equal multisets of type-tagged orbits, which is
+    when the cone permutations are conjugate under a type-preserving
+    matching of cone points.  Strict: equal orbits tagged with split classes
+    too, as they are or all flipped.
     """
     a, b = target_ds, cand.alt_ds
     if (a.n, a.g0) != (b.n, b.g0):
@@ -212,20 +202,14 @@ def match_descent(target_ds: GroupDataSet, target_inv: InvolutionDescent,
         return (False, False)
     if target_inv.d != cand.descent.d:
         return (False, False)
-    loose = strict = False
-    for pi in _type_bijections(sa, sb):
-        # pi carries target cone i to candidate cone pi(i); it must
-        # intertwine the two involutions: perm_cand = pi perm_target pi^-1
-        if pi * target_inv.perm * pi.inverse() != cand.descent.perm:
-            continue
-        loose = True
-        split_pairs = [(lab_a, sb[pi(i + 1) - 1][2])
-                       for i, (_, _, lab_a) in enumerate(sa) if lab_a != "whole"]
-        if all(x == y for x, y in split_pairs) or \
-                all(x == flip_label(y) for x, y in split_pairs):
-            strict = True
-            break
-    return (loose, strict)
+    pa, pb = target_inv.perm, cand.descent.perm
+    if _orbits(pa, [s[:2] for s in sa]) != _orbits(pb, [s[:2] for s in sb]):
+        return (False, False)
+    # "whole" is its own flip, so flipping every tag flips the split ones
+    target = _orbits(pa, sa)
+    strict = target == _orbits(pb, sb) or target == _orbits(
+        pb, [(o, p, flip_label(label)) for o, p, label in sb])
+    return (True, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +474,16 @@ def self_normalizing(ds: GroupDataSet, budget: Optional[SearchBudget] = None
 
     undetermined = False
     extensions = []
-    for d in involution_classes_on(ds.g0):
-        k = len(d.cones)
-        for perm in admissible_permutations(ds):
-            fixed = sum(1 for i in range(1, perm.degree + 1) if perm(i) == i)
-            if fixed > k:
-                continue
-            verdict = decide_lift(ds, InvolutionDescent(d, perm), searches)
-            if verdict.kind == UNDETERMINED:
-                undetermined = True
-            elif verdict.kind != NOT_LIFTABLE:
-                extensions.append(verdict)
+    # product lists the admissible permutations once, d outermost
+    for d, perm in itertools.product(involution_classes_on(ds.g0),
+                                     admissible_permutations(ds)):
+        if sum(1 for i in range(1, perm.degree + 1) if perm(i) == i) > len(d.cones):
+            continue
+        verdict = decide_lift(ds, InvolutionDescent(d, perm), searches)
+        if verdict.kind == UNDETERMINED:
+            undetermined = True
+        elif verdict.kind != NOT_LIFTABLE:
+            extensions.append(verdict)
     if extensions:
         by_exhaustion = False
     elif undetermined:

@@ -124,12 +124,27 @@ class Perm:
         parts = tuple(sorted(len(c) for c in self.cycles()))
         return CycleType(parts, self.degree)
 
+    def _cycle_lengths(self) -> list:
+        """Length of every cycle, fixed points included, in one walk."""
+        images = self.images
+        seen = [False] * len(images)
+        out = []
+        for start in range(len(images)):
+            k, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x] - 1
+                k += 1
+            if k:
+                out.append(k)
+        return out
+
     def order(self) -> int:
-        # the identity has no cycles, and lcm() is 1
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return math.lcm(*self._cycle_lengths())
 
     def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        # a k-cycle is k - 1 transpositions: n minus the number of cycles
+        return (self.degree - len(self._cycle_lengths())) % 2 == 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

@@ -30,6 +30,7 @@ fixed sort order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -110,6 +111,7 @@ def validate_vector(v: GeneratingVector) -> bool:
     return spans(v.spec, v.all_images())
 
 
+@functools.lru_cache(maxsize=4096)
 def _feasible_end_ids(table, g0: int) -> frozenset:
     """Class ids the elliptic product may land in, given the handle budget."""
     spec = table.spec
@@ -150,7 +152,7 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
         # every image lies in a proper normal subgroup: nothing generates
         return
     r = len(class_ids)
-    periods = tuple(sorted(table.classes[c].rep.order() for c in class_ids))
+    periods = tuple(sorted(table.class_orders[c] for c in class_ids))
     sig = Signature(g0, periods)
     end_ids = _feasible_end_ids(table, g0)
 

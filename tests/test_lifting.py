@@ -1,3 +1,7 @@
+import itertools
+import time
+from collections import Counter
+
 import pytest
 
 import sact.lifting
@@ -8,11 +12,11 @@ from golden import (CUBIC_A_VALID, CUBIC_S, DA2_A, DODECAHEDRAL_A,
 from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
 from sact.errors import GenusMismatch, ValidationFailure
-from sact.groups import alt, alt_c2, sym
+from sact.groups import alt, alt_c2, flip_label, sym
 from sact.lifting import (ALT_TIMES_C2, NOT_LIFTABLE, UNDETERMINED, WLS,
-                          InvolutionDescent, _ExtensionSearches,
-                          admissible_permutations, decide_lift,
-                          free_action_analysis, index2_restrict,
+                          InvolutionDescent, Restriction, _ExtensionSearches,
+                          _normalize_perm, _slots, admissible_permutations,
+                          decide_lift, free_action_analysis, index2_restrict,
                           involution_classes_on, match_descent, psi_map,
                           quotient_signature, self_normalizing)
 from sact.orbifold import parse_cyclic, signature
@@ -116,6 +120,144 @@ def test_quotient_signatures_octahedral():
     assert sig == signature(0, [2, 2, 4, 4])
     sig = quotient_signature(ds, descent("(2,0;(1,2)^[4])", "(1 2)", 2))
     assert sig == signature(0, [2, 2, 2, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# descent matching against the bijection enumeration
+
+
+def _reference_type_bijections(src, dst):
+    """Bijections src position -> dst position preserving (order, type)."""
+    groups = {}
+    for i, (o, parts, _) in enumerate(src):
+        groups.setdefault((o, parts), ([], []))[0].append(i + 1)
+    for j, (o, parts, _) in enumerate(dst):
+        if (o, parts) not in groups:
+            return
+        groups[(o, parts)][1].append(j + 1)
+    if any(len(a) != len(b) for a, b in groups.values()):
+        return
+    keys = sorted(groups)
+    pools = [list(itertools.permutations(groups[k][1])) for k in keys]
+    for combo in itertools.product(*pools):
+        images = [0] * len(src)
+        for k, perm_dst in zip(keys, combo):
+            for i, j in zip(groups[k][0], perm_dst):
+                images[i - 1] = j
+        yield Perm(images)
+
+
+def _reference_match(target_ds, target_inv, cand):
+    """match_descent by enumerating every type-preserving matching of cone
+    points: (loose, strict, whether strict needs the global flip)."""
+    a, b = target_ds, cand.alt_ds
+    if (a.n, a.g0) != (b.n, b.g0):
+        return (False, False, False)
+    sa, sb = _slots(a), _slots(b)
+    if sorted((o, p) for o, p, _ in sa) != sorted((o, p) for o, p, _ in sb):
+        return (False, False, False)
+    if target_inv.d != cand.descent.d:
+        return (False, False, False)
+    loose = as_is = flipped = False
+    for pi in _reference_type_bijections(sa, sb):
+        if pi * target_inv.perm * pi.inverse() != cand.descent.perm:
+            continue
+        loose = True
+        split_pairs = [(lab_a, sb[pi(i + 1) - 1][2])
+                       for i, (_, _, lab_a) in enumerate(sa) if lab_a != "whole"]
+        as_is = as_is or all(x == y for x, y in split_pairs)
+        flipped = flipped or all(x == flip_label(y) for x, y in split_pairs)
+    return (loose, as_is or flipped, flipped and not as_is)
+
+
+# The lift-sweep benchmark's inputs: every weak class whose self-normalizing
+# test it runs, and its four single lift questions.
+SELF_NORMALIZING_INPUTS = [
+    "(4,0;[(1 2)(3 4),2;2,2]^[2],[(2 3 4),3;3]^[3])",
+    "(4,1;[(1 2)(3 4),2;2,2]^[2])",
+    "(4,0;[(1 2)(3 4),2;2,2]^[3],[(2 3 4),3;3]^[3])",
+    "(4,1;[(1 2)(3 4),2;2,2]^[3])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[2],[(3 4 5),3;3]^[2])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[2],[(1 2 3 4 5),5;5],[(1 2 3 5 4),5;5])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[2],[(1 2 3 4 5),5;5]^[2])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[4],[(3 4 5),3;3])",
+    "(5,0;[(3 4 5),3;3]^[4])",
+    "(5,1;[(3 4 5),3;3])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[4],[(1 2 3 4 5),5;5])",
+    "(5,0;[(3 4 5),3;3]^[3],[(1 2 3 4 5),5;5])",
+    "(5,1;[(1 2 3 4 5),5;5])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[6])",
+    "(5,0;[(2 3)(4 5),2;2,2]^[2],[(3 4 5),3;3]^[3])",
+    "(5,1;[(2 3)(4 5),2;2,2]^[2])",
+    "(6,0;[(3 4)(5 6),2;2,2],[(1 2)(3 4 5 6),4;2,4],[(2 3 4 5 6),5;5])",
+    "(6,0;[(3 4)(5 6),2;2,2]^[3],[(1 2)(3 4 5 6),4;2,4])",
+    "(6,0;[(1 2)(3 4 5 6),4;2,4]^[3])",
+]
+LIFT_QUESTION_INPUTS = [
+    (ICOSAHEDRAL_A, D_SPHERE, "(3 4)"),
+    (ICOSAHEDRAL_A, D_SPHERE, "(1 2)(3 4)"),
+    (OCTAHEDRAL_A, "(2,1;-)", "()"),
+    (DA2_A, D_SPHERE, "(1 2)(3 4)"),
+]
+
+
+def _lift_sweep_descents(searches):
+    """(resolved data set, genus, admissible involution descent) triples the
+    lift-sweep inputs reach, before the surplus fixed cones are paired."""
+    for text in SELF_NORMALIZING_INPUTS:
+        ds, g = searches.resolve(parse_dataset(text, ALTERNATING))
+        for d in involution_classes_on(ds.g0):
+            for perm in admissible_permutations(ds):
+                if sum(1 for i in range(1, perm.degree + 1) if perm(i) == i) <= len(d.cones):
+                    yield ds, g, InvolutionDescent(d, perm)
+    for text, d_text, pi_text in LIFT_QUESTION_INPUTS:
+        ds, g = searches.resolve(parse_dataset(text, ALTERNATING))
+        yield ds, g, descent(d_text, pi_text, len(_slots(ds)))
+
+
+def test_match_descent_agrees_with_bijection_enumeration():
+    """Every (descent, Sym and AxC2 candidate) pair of the lift-sweep inputs
+    gets the verdict the enumeration of cone matchings gives."""
+    searches = _ExtensionSearches.under(None)
+    outcomes = Counter()
+    strict_only_after_flip = 0
+    for ds, g, inv in _lift_sweep_descents(searches):
+        perm, _ = _normalize_perm(ds, inv)
+        if perm is None:
+            continue
+        working = InvolutionDescent(inv.d, perm)
+        sig = quotient_signature(ds, working)
+        for spec in (sym(ds.n), alt_c2(ds.n)):
+            for _, cand in searches.candidates(spec, g, sig):
+                loose, strict, flip_only = _reference_match(ds, working, cand)
+                assert match_descent(ds, working, cand) == (loose, strict), \
+                    (str(ds), str(perm), spec.name)
+                outcomes[(loose, strict)] += 1
+                strict_only_after_flip += flip_only
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}, outcomes
+    assert strict_only_after_flip
+
+
+def test_match_descent_counts_orbits_without_enumerating_matchings():
+    # ten cones of one type admit 10! matchings; the cone permutations
+    # differ in their number of 2-cycles, so none of them intertwines
+    cones = dataset(ALTERNATING, 5, 0, [(parse_perm("(3 4 5)", 5), 10)])
+    d = parse_cyclic("(2,0;(1,2)^[4])")
+    target = InvolutionDescent(d, parse_perm("(1 2)(3 4)", 10))
+    cand = Restriction(cones, InvolutionDescent(d, parse_perm("(1 2)", 10)), 0)
+    start = time.perf_counter()
+    assert match_descent(cones, target, cand) == (False, False)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_slots_are_a_shared_tuple():
+    ds = icosa()
+    slots = _slots(ds)
+    assert isinstance(slots, tuple)
+    assert [label for _, _, label in slots] == ["whole", "whole", "plus", "plus"]
+    hits = _slots.cache_info().hits
+    assert _slots(icosa()) is slots
+    assert _slots.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------

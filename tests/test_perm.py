@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +77,15 @@ def test_inverse_law(p):
 def test_composition_is_function_composition(a, b):
     for x in range(1, 6):
         assert (a * b)(x) == a(b(x))
+
+
+def test_order_and_parity_agree_with_cycles():
+    for n in range(1, 7):
+        for images in itertools.permutations(range(1, n + 1)):
+            p = Perm(images)
+            lengths = [len(c) for c in p.cycles()]
+            assert p.order() == math.lcm(*lengths)
+            assert p.is_even() == (sum(k - 1 for k in lengths) % 2 == 0)
 
 
 @given(perms5, perms5)
