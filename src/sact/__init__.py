@@ -19,9 +19,9 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_form,
                        validate)
 from .vectors import (GeneratingVector, SearchBudget, enumerate_vectors,
                       enumerate_weak_classes)
-from .factors import (cyclic_factor, fixed_point_count, fixed_point_profile,
-                      is_hyperelliptic, is_irreducible, obstruction_report,
-                      standard_factors, weakly_generates)
+from .factors import (cyclic_factor, fixed_point_count, is_hyperelliptic,
+                      is_irreducible, obstruction_report, standard_factors,
+                      weakly_generates)
 from .lifting import (InvolutionDescent, LiftVerdict, admissible_permutations,
                       decide_lift, free_action_analysis, index2_restrict,
                       psi_map, self_normalizing)
@@ -36,8 +36,8 @@ __all__ = [
     "equivalent", "format_dataset", "parse_dataset", "validate",
     "GeneratingVector", "SearchBudget", "enumerate_vectors",
     "enumerate_weak_classes",
-    "cyclic_factor", "fixed_point_count", "fixed_point_profile",
-    "is_hyperelliptic", "is_irreducible", "obstruction_report",
+    "cyclic_factor", "fixed_point_count", "is_hyperelliptic",
+    "is_irreducible", "obstruction_report",
     "standard_factors", "weakly_generates",
     "InvolutionDescent", "LiftVerdict", "admissible_permutations",
     "decide_lift", "free_action_analysis", "index2_restrict", "psi_map",

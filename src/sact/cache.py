@@ -1,10 +1,11 @@
 """Content-addressed result cache for classification runs.
 
-Entries are keyed on (command, group, genus, code version, schema, budget).
-The schema is an integer (`cli.CACHE_SCHEMA`) raised whenever an algorithm
+Entries are keyed on (command, group, genus, code version, schema).  The
+schema is an integer (`cli.CACHE_SCHEMA`) raised whenever an algorithm
 change could alter a stored result, so older entries become misses.  Only
 complete results are stored, so an interrupted run can never shadow a full
-one.  Files are plain JSON under the cache directory.
+one, and the budget is not part of the key: a complete result is the same
+under any budget.  Files are plain JSON under the cache directory.
 """
 
 from __future__ import annotations

@@ -42,15 +42,29 @@ def _env(name, default=None):
     return os.environ.get("SACT_" + name, default)
 
 
+FORMATS = ("text", "json", "csv")
+
+
+def _format(value: str) -> str:
+    """The --format type.  argparse checks `choices` on the command line
+    only, not on a SACT_FORMAT default, so the type checks them too."""
+    if value not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})")
+    return value
+
+
 def _add_common(p):
-    p.add_argument("--format", default=_env("FORMAT", "text"),
-                   choices=["text", "json", "csv"])
+    # Environment defaults stay strings: argparse converts them with `type`
+    # and reports a bad value as a usage error (exit 2).
+    p.add_argument("--format", type=_format, choices=FORMATS,
+                   default=_env("FORMAT", "text"))
     p.add_argument("--cache-dir", default=_env("CACHE_DIR"))
     p.add_argument("--budget-nodes", type=int,
-                   default=int(_env("BUDGET_NODES", 5_000_000)))
+                   default=_env("BUDGET_NODES", 5_000_000))
     p.add_argument("--budget-seconds", type=float,
-                   default=float(_env("BUDGET_SECONDS", 600)))
-    p.add_argument("--jobs", type=int, default=int(_env("JOBS", 1)))
+                   default=_env("BUDGET_SECONDS", 600))
+    p.add_argument("--jobs", type=int, default=_env("JOBS", 1))
 
 
 def _budget(args) -> SearchBudget:
@@ -66,8 +80,7 @@ def build_parser():
 
     env_genus = _env("GENUS")
     p = sub.add_parser("classify", help="weak conjugacy classes at a genus")
-    p.add_argument("--genus", type=int,
-                   default=int(env_genus) if env_genus is not None else None,
+    p.add_argument("--genus", type=int, default=env_genus,
                    required=env_genus is None)
     p.add_argument("--group", default=_env("GROUP"))
     p.add_argument("--all", action="store_true",
@@ -202,9 +215,10 @@ def cmd_classify(args) -> int:
 
 def _classify_worker(packed):
     family, n, genus, nodes, seconds, cache_dir = packed
+    # no budget in the key: only complete results are stored, and a
+    # complete result does not depend on the budget
     key = {"command": "classify", "family": family, "n": n, "genus": genus,
-           "version": __version__, "schema": CACHE_SCHEMA,
-           "budget_nodes": nodes, "budget_seconds": seconds}
+           "version": __version__, "schema": CACHE_SCHEMA}
     hit = result_cache.load(cache_dir, key)
     if hit is not None:
         return {"rows": hit["rows"], "complete": True}

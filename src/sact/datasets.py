@@ -137,9 +137,12 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
         if not generates(spec, reps):
             raise ValidationFailure("generation", "entries do not generate the group")
     elif ds.g0 == 1:
-        pair = ds.witnesses or find_handle_witnesses(ds)
+        pair = ds.witnesses
         if pair is None:
-            raise ValidationFailure("witness", "no handle pair closes the relation")
+            handles = next(handle_solutions(spec, 1, reps, ds.product()), None)
+            if handles is None:
+                raise ValidationFailure("witness", "no handle pair closes the relation")
+            (pair,) = handles
         w1, w2 = pair
         if ds.product() != w2 * w1 * w2.inverse() * w1.inverse():
             raise ValidationFailure("witness", "stored handle pair does not close the relation")
@@ -191,24 +194,25 @@ def handle_solutions(spec: GroupSpec, g0: int, elliptic: Sequence[Perm],
         yield ((s, t), (r1, r2)) + (idpair,) * (g0 - 2)
 
 
-def find_handle_witnesses(ds: GroupDataSet):
-    """A g0 = 1 handle pair (w1, w2) with product = w2 w1 w2^-1 w1^-1 and
-    joint generation; None when the exhaustive scan finds none."""
-    handles = next(handle_solutions(ds.spec, 1, ds.expanded(), ds.product()), None)
-    return None if handles is None else handles[0]
-
-
 # ---------------------------------------------------------------------------
 # equivalence and canonical form
 
 
-def _tagged_multiset(ds: GroupDataSet, flip: bool = False) -> tuple:
+@functools.lru_cache(maxsize=4096)
+def cone_slots(ds: GroupDataSet) -> tuple:
+    """Per cone point, in entry order: (order, cycle type parts, split tag),
+    the tag being "whole" throughout for the symmetric kind."""
     out = []
     for e in ds.entries:
-        label = split_label(e.rep)
-        if flip:
-            label = flip_label(label)
+        label = split_label(e.rep) if ds.kind == ALTERNATING else "whole"
         out.extend([(e.order, e.ctype.parts, label)] * e.mult)
+    return tuple(out)
+
+
+def _tagged_multiset(ds: GroupDataSet, flip: bool = False) -> tuple:
+    """The cone slots sorted by (order, type, tag), tags flipped if asked."""
+    out = [(m, parts, flip_label(label) if flip else label)
+           for m, parts, label in cone_slots(ds)]
     return tuple(sorted(out, key=lambda t: (t[0], t[1], _LABEL_RANK[t[2]])))
 
 
@@ -220,10 +224,7 @@ def equivalent(a: GroupDataSet, b: GroupDataSet) -> bool:
         raise KindMismatch(f"{a.kind} vs {b.kind}")
     if (a.n, a.g0) != (b.n, b.g0):
         return False
-    if a.kind == SYMMETRIC:
-        key = lambda ds: tuple(sorted((e.order, e.ctype.parts)
-                                      for e in ds.entries for _ in range(e.mult)))
-        return key(a) == key(b)
+    # symmetric slots are all tagged "whole", which the flip keeps
     mine = _tagged_multiset(a)
     return mine == _tagged_multiset(b) or mine == _tagged_multiset(b, flip=True)
 
@@ -255,28 +256,17 @@ def canonical_form(ds: GroupDataSet) -> GroupDataSet:
     the entry classes but need not multiply to the identity.
     """
     validate(ds, structure_only=True)
-    items = []
-    for e in ds.entries:
-        label = split_label(e.rep) if ds.kind == ALTERNATING else "whole"
-        items.extend([(e.order, e.ctype, label)] * e.mult)
-
-    def sorted_variant(flip):
-        tagged = [(m, ct, flip_label(lb) if flip else lb) for (m, ct, lb) in items]
-        return sorted(tagged, key=lambda t: (t[0], t[1].parts, _LABEL_RANK[t[2]]))
-
-    plain, flipped = sorted_variant(False), sorted_variant(True)
-    if ds.kind == ALTERNATING:
-        rank = lambda seq: tuple(_LABEL_RANK[lb] for (_, _, lb) in seq)
-        chosen = flipped if rank(flipped) < rank(plain) else plain
-    else:
-        chosen = plain
-
-    reps = [class_representative(ds.kind, ds.n, ct, label) for _, ct, label in chosen]
+    # the symmetric kind tags every slot "whole", so both variants agree
+    plain, flipped = _tagged_multiset(ds), _tagged_multiset(ds, flip=True)
+    rank = lambda seq: tuple(_LABEL_RANK[lb] for (_, _, lb) in seq)
+    chosen = flipped if rank(flipped) < rank(plain) else plain
+    reps = [class_representative(ds.kind, ds.n, CycleType(parts, ds.n), label)
+            for _, parts, label in chosen]
     return dataset(ds.kind, ds.n, ds.g0, run_lengths(reps))
 
 
 # ---------------------------------------------------------------------------
-# text and JSON forms
+# text form
 
 
 def format_dataset(ds: GroupDataSet) -> str:
@@ -322,38 +312,3 @@ def parse_dataset(text: str, kind: str) -> GroupDataSet:
                     raise ParseError(f"expected ',' between entries at {body[pos:]!r}")
                 pos += 1
     return GroupDataSet(kind, n, g0, tuple(entries))
-
-
-def dataset_to_json(ds: GroupDataSet) -> dict:
-    obj = {
-        "kind": ds.kind,
-        "n": ds.n,
-        "g0": ds.g0,
-        "entries": [
-            {
-                "rep": str(e.rep),
-                "order": e.order,
-                "type": list(e.ctype.parts),
-                "mult": e.mult,
-                "label": split_label(e.rep) if ds.kind == ALTERNATING else "whole",
-            }
-            for e in ds.entries
-        ],
-    }
-    if ds.witnesses is not None:
-        obj["witnesses"] = [str(w) for w in ds.witnesses]
-    return obj
-
-
-def dataset_from_json(obj: dict) -> GroupDataSet:
-    entries = []
-    for e in obj["entries"]:
-        rep = parse_perm(e["rep"], obj["n"])
-        entries.append(Entry(rep, e["order"],
-                             CycleType(tuple(sorted(e["type"])), obj["n"]),
-                             e.get("mult", 1)))
-    witnesses = None
-    if obj.get("witnesses"):
-        w1, w2 = (parse_perm(w, obj["n"]) for w in obj["witnesses"])
-        witnesses = (w1, w2)
-    return GroupDataSet(obj["kind"], obj["n"], obj["g0"], tuple(entries), witnesses)

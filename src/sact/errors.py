@@ -61,11 +61,9 @@ class ValidationFailure(SactError):
 class BudgetExhausted(SactError):
     """A search hit its node or wall-clock ceiling.
 
-    `partial` holds whatever results were collected before the ceiling;
-    `complete` is always False and is kept for symmetry with result records.
+    `partial` holds whatever results were collected before the ceiling.
     """
 
     def __init__(self, message: str = "search budget exhausted", partial=None):
         self.partial = partial
-        self.complete = False
         super().__init__(message)

@@ -19,8 +19,8 @@ The count and the factor are class functions.  In groups up to order 5040
 (CLOSURE_ORDER_CAP) the factor is read from the class power map and the
 centralizer orders of the group table, in integer arithmetic, once per
 (data set, class of sigma).  Larger groups have no table built for them
-and run the direct formula on sigma, which fixed_point_count and
-fixed_point_profile keep as the reference.
+and run the direct formula on sigma, which fixed_point_count keeps as the
+reference.
 """
 
 from __future__ import annotations
@@ -66,22 +66,6 @@ def fixed_point_count(ds: GroupDataSet, x: Perm, u: int, m: int) -> int:
 @functools.lru_cache(maxsize=4096)
 def _structural_genus(ds: GroupDataSet) -> int:
     return validate(ds, structure_only=True)
-
-
-def fixed_point_profile(ds: GroupDataSet, sigma: Perm) -> dict:
-    """All fixed-point counts of the powers of sigma: {(t, u): count} over
-    divisors t >= 2 of the order and units u mod t.  A class function."""
-    require_member(ds.spec, sigma)
-    d = sigma.order()
-    out = {}
-    for t in range(2, d + 1):
-        if d % t != 0:
-            continue
-        power = sigma ** (d // t)
-        for u in range(1, t):
-            if math.gcd(u, t) == 1:
-                out[(t, u)] = fixed_point_count(ds, power, u, t)
-    return out
 
 
 def cyclic_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:

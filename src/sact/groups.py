@@ -64,7 +64,7 @@ class GroupSpec:
             return p.is_even()
         # ALT_C2: fixes {1..n} setwise (hence the tail too), even on the block
         n = self.n
-        if any(p.apply(i) > n for i in range(1, n + 1)):
+        if any(p(i) > n for i in range(1, n + 1)):
             return False
         a, _ = split_alt_c2(p)
         return a.is_even()
@@ -137,8 +137,8 @@ def _partitions(n: int, largest: Optional[int] = None):
 def split_alt_c2(p: Perm) -> tuple:
     """Split an Alt(n) x C_2 element (degree n+2) into (A_n part, swapped?)."""
     n = p.degree - 2
-    a = Perm(tuple(p.apply(i) for i in range(1, n + 1)))
-    return a, p.apply(n + 1) == n + 2
+    a = Perm(tuple(p(i) for i in range(1, n + 1)))
+    return a, p(n + 1) == n + 2
 
 
 def embed_alt_c2(a: Perm, swapped: bool) -> Perm:
@@ -170,7 +170,7 @@ def conjugator_in_sym(a: Perm, b: Perm) -> Optional[Perm]:
 
     def full_cycles(p):
         moved = list(p.cycles())
-        fixed = [(i,) for i in range(1, p.degree + 1) if p.apply(i) == i]
+        fixed = [(i,) for i in range(1, p.degree + 1) if p(i) == i]
         return sorted(moved + fixed, key=lambda c: (len(c), c[0]))
 
     images = [0] * a.degree
@@ -227,7 +227,7 @@ def _odd_centralizer_element(p: Perm) -> Optional[Perm]:
         if len(c) % 2 == 0:
             return Perm.from_cycles([c], n)
     by_len = {}
-    fixed = [i for i in range(1, n + 1) if p.apply(i) == i]
+    fixed = [i for i in range(1, n + 1) if p(i) == i]
     if len(fixed) >= 2:
         return Perm.from_cycles([(fixed[0], fixed[1])], n)
     for c in cycles:
@@ -240,9 +240,8 @@ def _odd_centralizer_element(p: Perm) -> Optional[Perm]:
 
 
 def conjugator_in_group(spec: GroupSpec, a: Perm, b: Perm) -> Optional[Perm]:
-    """Some c in the group with c a c^-1 = b, or None."""
-    require_member(spec, a)
-    require_member(spec, b)
+    """Some c in the group with c a c^-1 = b, or None.  a and b must be
+    members of the group."""
     if spec.family == SYM:
         return conjugator_in_sym(a, b)
     if spec.family == ALT:
@@ -356,11 +355,11 @@ def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
     base: list = []
 
     def level_gens(i):
-        return [g for g in strong if all(g.apply(b) == b for b in base[:i])]
+        return [g for g in strong if all(g(b) == b for b in base[:i])]
 
     def extend_base(g):
         for x in range(1, degree + 1):
-            if g.apply(x) != x and x not in base:
+            if g(x) != x and x not in base:
                 base.append(x)
                 return
 
@@ -373,7 +372,7 @@ def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
             for point in frontier:
                 u = table[point]
                 for g in gens_i:
-                    q = g.apply(point)
+                    q = g(point)
                     if q not in table:
                         table[q] = g * u
                         nxt.append(q)
@@ -382,7 +381,7 @@ def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
 
     def sift(g, tables):
         for i, table in enumerate(tables):
-            img = g.apply(base[i])
+            img = g(base[i])
             u = table.get(img)
             if u is None:
                 return g, i
@@ -390,7 +389,7 @@ def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
         return g, len(tables)
 
     for g in strong:
-        if all(g.apply(b) == b for b in base):
+        if all(g(b) == b for b in base):
             extend_base(g)
 
     while True:
@@ -400,13 +399,13 @@ def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
         for i in range(len(base)):
             for point, u in tables[i].items():
                 for g in gens_per_level[i]:
-                    schreier = tables[i][g.apply(point)].inverse() * g * u
+                    schreier = tables[i][g(point)].inverse() * g * u
                     if schreier == identity:
                         continue
                     residue, _ = sift(schreier, tables)
                     if residue != identity:
                         strong.append(residue)
-                        if all(residue.apply(b) == b for b in base):
+                        if all(residue(b) == b for b in base):
                             extend_base(residue)
                         residue_found = True
                         break
@@ -421,72 +420,13 @@ def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
             return order
 
 
-def _orbit_of_1(gens: Sequence[Perm]) -> set:
-    orbit = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = g.images[x - 1]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
-
-
-def _minimal_block_is_whole(gens: Sequence[Perm], n: int, k: int) -> bool:
-    """Whether the smallest block of <gens> on {1..n} holding 1 and k is
-    all of {1..n} (Atkinson's closure; <gens> must be transitive there).
-
-    Every merge of two blocks forces the merge of their images under each
-    generator; the forced pairs are closed on a union-find.
-    """
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    parent[k] = 1
-    merges = 1
-    pending = [(1, k)]
-    while pending:
-        a, b = pending.pop()
-        for g in gens:
-            ga, gb = g.images[a - 1], g.images[b - 1]
-            ra, rb = find(ga), find(gb)
-            if ra != rb:
-                parent[rb] = ra
-                merges += 1
-                if merges == n - 1:
-                    return True
-                pending.append((ga, gb))
-    return merges == n - 1
-
-
 def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:
-    """Whether gens generate the whole of spec's group.  Exact.
+    """Whether gens, all members of spec's group, generate the whole of it.
 
-    Cheap necessary conditions run first, and each failure is a proof:
-    <gens> must have the group's orbits ({1..n}, plus {n+1, n+2} for
-    Alt(n) x C_2), must not lie in Alt(n) when the group is Sym(n), and
-    must act primitively on {1..n}, as Sym(n), Alt(n) and the Alt(n) factor
-    do.  Only then is the order of <gens> compared with the group's, by
-    closure with a Lagrange cut up to order 5040, Schreier-Sims above
-    (subgroup_order).
+    Exact: the order of <gens> is compared with the group's, by closure with
+    a Lagrange cut up to order 5040 and Schreier-Sims above
+    (subgroup_order).  The cut assumes membership; `generates` checks it.
     """
-    n = spec.n
-    if _orbit_of_1(gens) != set(range(1, n + 1)):
-        return False
-    if spec.family == ALT_C2 and not any(g.images[n] == n + 2 for g in gens):
-        return False
-    if spec.family == SYM and all(g.is_even() for g in gens):
-        return False
-    for k in range(2, n + 1):
-        if not _minimal_block_is_whole(gens, n, k):
-            return False
     return subgroup_order(gens, spec.degree, spec.order) == spec.order
 
 
@@ -699,7 +639,6 @@ def commutator_witness(spec: GroupSpec, target: Perm) -> Optional[tuple]:
 
     The scan over r2 is exhaustive, so None is a proof of absence.
     """
-    require_member(spec, target)
     for r1, r2 in commutator_witnesses(spec, target):
         return (r1, r2)
     return None
@@ -710,6 +649,8 @@ def commutator_witnesses(spec: GroupSpec, target: Perm):
 
     [r1, r2] = target is solved as r1 r2 r1^-1 = target * r2, so for each r2
     the candidates r1 run over one conjugator times the centralizer of r2.
+    r2 and target * r2 share a table class, so the conjugator exists, and
+    it and the centralizer lie in the group, so every r1 does.
     """
     require_member(spec, target)
     table = group_table(spec)
@@ -718,9 +659,5 @@ def commutator_witnesses(spec: GroupSpec, target: Perm):
         if table.class_id(c) != table.class_id(r2):
             continue
         c0 = conjugator_in_group(spec, r2, c)
-        if c0 is None:
-            continue
         for z in table.centralizer(r2):
-            r1 = c0 * z
-            if spec.contains(r1):
-                yield (r1, r2)
+            yield (c0 * z, r2)

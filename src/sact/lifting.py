@@ -23,7 +23,6 @@ finer split classes, up to one global flip, is reported on the verdict as
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -31,11 +30,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .datasets import ALTERNATING, SYMMETRIC, GroupDataSet, dataset, validate
+from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, cone_slots, dataset,
+                       validate)
 from .errors import (BudgetExhausted, GenusMismatch, NotIndexTwo,
                      ValidationFailure)
-from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2,
-                     split_label)
+from .groups import ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2
 from .orbifold import (CyclicDataSet, Signature, cyclic_data_set,
                        quotient_genus, rh_genus, validate_cyclic)
 from .perm import Perm
@@ -141,23 +140,13 @@ def psi_map(ds: GroupDataSet, vector: Optional[GeneratingVector] = None) -> Rest
 # admissible cone permutations and descent matching
 
 
-@functools.lru_cache(maxsize=4096)
-def _slots(ds: GroupDataSet) -> tuple:
-    """Per cone point: (order, cycle type parts, split tag)."""
-    out = []
-    for e in ds.entries:
-        label = split_label(e.rep) if ds.kind == ALTERNATING else "whole"
-        out.extend([(e.order, e.ctype.parts, label)] * e.mult)
-    return tuple(out)
-
-
 def admissible_permutations(ds: GroupDataSet) -> list:
     """All involutive cone permutations matching entries of equal Sym-class.
 
     This is the coarse necessary condition; the alternating-class relation
     between matched entries is left to the verdict metadata.
     """
-    slots = _slots(ds)
+    slots = cone_slots(ds)
     r = len(slots)
     types = [(o, parts) for o, parts, _ in slots]
     out = []
@@ -197,7 +186,7 @@ def match_descent(target_ds: GroupDataSet, target_inv: InvolutionDescent,
     a, b = target_ds, cand.alt_ds
     if (a.n, a.g0) != (b.n, b.g0):
         return (False, False)
-    sa, sb = _slots(a), _slots(b)
+    sa, sb = cone_slots(a), cone_slots(b)
     if sorted((o, p) for o, p, _ in sa) != sorted((o, p) for o, p, _ in sb):
         return (False, False)
     if target_inv.d != cand.descent.d:
@@ -258,7 +247,7 @@ class LiftVerdict:
 
 
 def _check_descent(ds: GroupDataSet, inv: InvolutionDescent) -> None:
-    slots = _slots(ds)
+    slots = cone_slots(ds)
     r = len(slots)
     if inv.perm.degree != r:
         raise ValidationFailure("admissibility",
@@ -276,7 +265,7 @@ def _normalize_perm(ds: GroupDataSet, inv: InvolutionDescent):
     """Pair up surplus fixed cone points: an involution with k branch points
     cannot fix more than k cones.  Pairs are formed among equal-type fixed
     indices, lowest first."""
-    slots = _slots(ds)
+    slots = cone_slots(ds)
     k = len(inv.d.cones)
     perm = inv.perm
     notes = []
@@ -299,7 +288,7 @@ def quotient_signature(ds: GroupDataSet, inv: InvolutionDescent) -> Signature:
     """Signature of the extension's quotient orbifold: swapped cone pairs
     keep their order, fixed cones double theirs, and leftover branch points
     of the involution add cones of order 2."""
-    slots = _slots(ds)
+    slots = cone_slots(ds)
     perm = inv.perm
     periods = []
     fixed = 0
@@ -468,7 +457,7 @@ def self_normalizing(ds: GroupDataSet, budget: Optional[SearchBudget] = None
     every admissible involution descent through decide_lift."""
     searches = _ExtensionSearches.under(budget)
     ds, _ = searches.resolve(ds)
-    slots = _slots(ds)
+    slots = cone_slots(ds)
     by_condition = ds.g0 == 0 and len(
         {(o, parts) for o, parts, _ in slots}) == len(slots)
 

@@ -219,15 +219,3 @@ def parse_cyclic(text: str) -> CyclicDataSet:
                     raise ParseError(f"expected ',' at {body[pos:]!r}")
                 pos += 1
     return cyclic_data_set(degree, g0, cones)
-
-
-def cyclic_to_json(d: CyclicDataSet) -> dict:
-    cones = [{"c": c, "m": m, "mult": mult} for (c, m), mult in run_lengths(d.cones)]
-    return {"degree": d.degree, "genus0": d.g0, "cones": cones}
-
-
-def cyclic_from_json(obj: dict) -> CyclicDataSet:
-    cones = []
-    for cone in obj["cones"]:
-        cones.extend([(cone["c"], cone["m"])] * cone.get("mult", 1))
-    return cyclic_data_set(obj["degree"], obj["genus0"], cones)

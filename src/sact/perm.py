@@ -70,9 +70,6 @@ class Perm:
                 images[cyc[-1] - 1] = cyc[0]
         return cls(images)
 
-    def apply(self, x: int) -> int:
-        return self.images[x - 1]
-
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
 

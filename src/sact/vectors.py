@@ -22,8 +22,8 @@ kept as a bitmask on the group table (GroupTable.join).  Each search keeps
 the states whose subtree yielded nothing and skips them when they recur
 (nogood recording), which is exact.  A genus-0 leaf generates exactly when
 H is the whole group, so it runs no generation test; a genus-1 leaf tests
-each commutator solution with groups.spans, whose orbit and block
-pre-checks reject most non-generating vectors before orders are compared.
+each commutator solution with groups.spans, which compares the order of
+the subgroup they generate with the group's.
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """

@@ -79,6 +79,16 @@ def test_cache_entry_of_another_schema_is_a_miss(tmp_path, capsys):
     assert run(capsys, *args)[1] == out
 
 
+def test_cached_classify_result_serves_any_budget(tmp_path, capsys):
+    args = ["classify", "--genus", "10", "--group", "S4", "--format", "json"]
+    cached = args + ["--cache-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *cached)
+    assert code == 0
+    # one node is too few to finish S4@10, but a complete result is stored
+    assert run(capsys, *args, "--budget-nodes", "1")[0] == 3
+    assert run(capsys, *cached, "--budget-nodes", "1")[:2] == (0, out)
+
+
 def test_csv_fields_round_trip(capsys):
     text = 'a "quoted", comma'
     _emit(argparse.Namespace(format="csv"),
@@ -227,6 +237,24 @@ def test_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "free", "--n", "5", "--genus", "100")
     assert code == 0
     assert json.loads(out)["status"] == "no_free_action"
+
+
+@pytest.mark.parametrize("name,value,argv", [
+    ("SACT_BUDGET_NODES", "abc", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_BUDGET_SECONDS", "soon", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_JOBS", "two", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_FORMAT", "xml", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_GENUS", "x", ["classify", "--group", "A5"]),
+])
+def test_bad_env_value_is_a_usage_error(capsys, monkeypatch, name, value, argv):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert "invalid" in err and repr(value) in err
 
 
 def test_jobs_flag_is_deterministic(capsys):

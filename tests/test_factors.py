@@ -12,9 +12,9 @@ from sact.errors import (GenusMismatch, MembershipError, NonIntegralError,
                          SactError)
 from sact.factors import (_class_factor, _class_fixed_points, _direct_factor,
                           cyclic_factor, fixed_point_count,
-                          fixed_point_profile, is_hyperelliptic,
-                          is_irreducible, obstruction_report,
-                          standard_factors, weakly_generates)
+                          is_hyperelliptic, is_irreducible,
+                          obstruction_report, standard_factors,
+                          weakly_generates)
 from sact.groups import (CLOSURE_ORDER_CAP, GroupTable, alt, alt_c2,
                          centralizer_order, group_table, sym)
 from sact.orbifold import cyclic_data_set, parse_cyclic, validate_cyclic
@@ -207,18 +207,19 @@ def test_irreducible_detection_fires_when_present():
 
 
 def test_fixed_point_profile():
+    """The fixed-point counts of every power of an element, by (t, u)."""
     ds = icosa()
     tau = parse_perm("(1 2 3 4 5)", 5)
-    profile = fixed_point_profile(ds, tau)
-    assert profile == {(5, 1): 2, (5, 2): 0, (5, 3): 0, (5, 4): 2}
-    # counts agree on conjugates
     h = parse_perm("(1 2 3)", 5)
-    assert fixed_point_profile(ds, h * tau * h.inverse()) == profile
+    # counts agree on conjugates
+    for x in (tau, h * tau * h.inverse()):
+        assert [fixed_point_count(ds, x, u, 5) for u in (1, 2, 3, 4)] == [2, 0, 0, 2]
     # a composite order: the octahedral symmetric action at genus 7
     octa = parse_dataset(OCTAHEDRAL_S, SYMMETRIC)
     four = parse_perm("(1 2 3 4)", 4)
-    assert fixed_point_profile(octa, four) == \
-        {(4, 1): 2, (4, 3): 2, (2, 1): 4}
+    assert fixed_point_count(octa, four, 1, 4) == 2
+    assert fixed_point_count(octa, four, 3, 4) == 2
+    assert fixed_point_count(octa, four ** 2, 1, 2) == 4
 
 
 # ---------------------------------------------------------------------------

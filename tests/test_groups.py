@@ -226,7 +226,7 @@ def test_closure_order_agrees_with_schreier_sims(spec):
 
 
 def test_schreier_sims_decides_above_the_closure_cap(monkeypatch):
-    # PSL(2,7) acts primitively on 8 points, so the pre-checks pass it on
+    # PSL(2,7) inside Alt(8): order 168, decided by Schreier-Sims alone
     gens = [parse_perm("(1 2 3 4 5 6 7)", 8), parse_perm("(1 8)(2 7)(3 4)(5 6)", 8)]
     calls = []
 
@@ -256,33 +256,6 @@ def test_subgroup_order_against_sympy():
                 [combinatorics.Permutation([x - 1 for x in g.images]) for g in gens])
             assert subgroup_order(gens, degree) == ref.order(), gens
             assert subgroup_order(gens, degree, spec.order) == ref.order(), gens
-
-
-def _no_schreier_sims(gens, degree):
-    raise AssertionError("a pre-check should have decided")
-
-
-def test_spans_orbit_check_fires(monkeypatch):
-    monkeypatch.setattr(sact.groups, "subgroup_order", _no_schreier_sims)
-    # Sym(3) on {2,3,4} fixes 1; every pair {1,k} closes to all of {1..4}
-    assert not spans(sym(4), [parse_perm("(2 3 4)", 4), parse_perm("(2 3)", 4)])
-    # transitive on {1..4} but never swapping the tail {5,6}
-    assert not spans(alt_c2(4), [parse_perm("(1 2 3)", 6), parse_perm("(2 3 4)", 6)])
-
-
-def test_spans_parity_check_fires(monkeypatch):
-    monkeypatch.setattr(sact.groups, "subgroup_order", _no_schreier_sims)
-    # Alt(4) is transitive and primitive, so only parity rules it out of Sym(4)
-    assert not spans(sym(4), [parse_perm("(1 2 3)", 4), parse_perm("(2 3 4)", 4)])
-
-
-def test_spans_block_check_fires(monkeypatch):
-    monkeypatch.setattr(sact.groups, "subgroup_order", _no_schreier_sims)
-    # the dihedral group of order 8 is transitive with blocks {1,3}, {2,4}
-    assert not spans(sym(4), [parse_perm("(1 2 3 4)", 4), parse_perm("(1 3)", 4)])
-    # the same blocks for the Alt(4) factor of Alt(4) x C_2
-    assert not spans(alt_c2(4), [parse_perm("(1 2)(3 4)(5 6)", 6),
-                                 parse_perm("(1 3)(2 4)", 6)])
 
 
 def _class_ids(table, *keys):

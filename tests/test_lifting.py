@@ -9,13 +9,13 @@ from golden import (CUBIC_A_VALID, CUBIC_S, DA2_A, DODECAHEDRAL_A,
                     GENUS10_ROWS, GENUS11_ROWS, ICOSAHEDRAL_A,
                     ICOSAHEDRAL_LIFT_S, ICOSAHEDRAL_LIFT_S2, OCTAHEDRAL_A,
                     OCTAHEDRAL_S, OCTAHEDRAL_S2)
-from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
-                           validate)
+from sact.datasets import (ALTERNATING, SYMMETRIC, cone_slots, dataset,
+                           parse_dataset, validate)
 from sact.errors import GenusMismatch, ValidationFailure
 from sact.groups import alt, alt_c2, flip_label, sym
 from sact.lifting import (ALT_TIMES_C2, NOT_LIFTABLE, UNDETERMINED, WLS,
                           InvolutionDescent, Restriction, _ExtensionSearches,
-                          _normalize_perm, _slots, admissible_permutations,
+                          _normalize_perm, admissible_permutations,
                           decide_lift, free_action_analysis, index2_restrict,
                           involution_classes_on, match_descent, psi_map,
                           quotient_signature, self_normalizing)
@@ -153,7 +153,7 @@ def _reference_match(target_ds, target_inv, cand):
     a, b = target_ds, cand.alt_ds
     if (a.n, a.g0) != (b.n, b.g0):
         return (False, False, False)
-    sa, sb = _slots(a), _slots(b)
+    sa, sb = cone_slots(a), cone_slots(b)
     if sorted((o, p) for o, p, _ in sa) != sorted((o, p) for o, p, _ in sb):
         return (False, False, False)
     if target_inv.d != cand.descent.d:
@@ -212,7 +212,7 @@ def _lift_sweep_descents(searches):
                     yield ds, g, InvolutionDescent(d, perm)
     for text, d_text, pi_text in LIFT_QUESTION_INPUTS:
         ds, g = searches.resolve(parse_dataset(text, ALTERNATING))
-        yield ds, g, descent(d_text, pi_text, len(_slots(ds)))
+        yield ds, g, descent(d_text, pi_text, len(cone_slots(ds)))
 
 
 def test_match_descent_agrees_with_bijection_enumeration():
@@ -252,12 +252,12 @@ def test_match_descent_counts_orbits_without_enumerating_matchings():
 
 def test_slots_are_a_shared_tuple():
     ds = icosa()
-    slots = _slots(ds)
+    slots = cone_slots(ds)
     assert isinstance(slots, tuple)
     assert [label for _, _, label in slots] == ["whole", "whole", "plus", "plus"]
-    hits = _slots.cache_info().hits
-    assert _slots(icosa()) is slots
-    assert _slots.cache_info().hits == hits + 1
+    hits = cone_slots.cache_info().hits
+    assert cone_slots(icosa()) is slots
+    assert cone_slots.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from sact.factors import _non_integral_quotient
 from sact.groups import alt, alt_c2, sym
 from sact.lifting import _non_integral_descent
 from sact.orbifold import (CyclicDataSet, Signature, cyclic_data_set,
-                           cyclic_from_json, cyclic_to_json,
                            enumerate_signatures, parse_cyclic,
                            quotient_genus, rh_genus, signature,
                            validate_cyclic)
@@ -112,11 +111,6 @@ def test_parse_canonicalizes_cone_order():
     a = parse_cyclic("(4,1;(1,4)^[2],(3,4)^[2])")
     b = parse_cyclic("(4,1;(3,4),(1,4),(3,4),(1,4))")
     assert a == b
-
-
-def test_json_roundtrip():
-    d = parse_cyclic("(5,3;(1,5)^[2],(4,5)^[2])")
-    assert cyclic_from_json(cyclic_to_json(d)) == d
 
 
 def test_bad_syntax():
