@@ -10,13 +10,13 @@ under any budget.  Files are plain JSON under the cache directory.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Optional
 
 
 def _digest(key: dict) -> str:
+    import hashlib  # only runs that use a cache directory need it
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -1,16 +1,20 @@
 """Command-line surface: classify, weakgen, factor, lift, free, obstructions, cache.
 
-Every flag has an environment-variable override with prefix SACT_, e.g.
-SACT_GENUS, SACT_CACHE_DIR.  Exit codes: 0 success, 2 bad input, 3 budget
-exhausted (partial output is still printed, flagged incomplete), 4 internal
+Seven options take their default from an environment variable: --format,
+--cache-dir, --budget-nodes, --budget-seconds and --jobs (every command)
+from SACT_FORMAT, SACT_CACHE_DIR, SACT_BUDGET_NODES, SACT_BUDGET_SECONDS and
+SACT_JOBS, and classify's --genus and --group from SACT_GENUS and
+SACT_GROUP.  `main` builds one parser per process and reads these variables
+on every call.  Exit codes: 0 success, 2 bad input, 3 budget exhausted
+(partial output is still printed, flagged incomplete), 4 internal
 inconsistency in the exact arithmetic.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
+import functools
 import json
 import os
 import sys
@@ -38,10 +42,6 @@ EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 2, 3, 4
 CACHE_SCHEMA = 1
 
 
-def _env(name, default=None):
-    return os.environ.get("SACT_" + name, default)
-
-
 FORMATS = ("text", "json", "csv")
 
 
@@ -54,17 +54,32 @@ def _format(value: str) -> str:
     return value
 
 
-def _add_common(p):
-    # Environment defaults stay strings: argparse converts them with `type`
-    # and reports a bad value as a usage error (exit 2).
-    p.add_argument("--format", type=_format, choices=FORMATS,
-                   default=_env("FORMAT", "text"))
-    p.add_argument("--cache-dir", default=_env("CACHE_DIR"))
-    p.add_argument("--budget-nodes", type=int,
-                   default=_env("BUDGET_NODES", 5_000_000))
-    p.add_argument("--budget-seconds", type=float,
-                   default=_env("BUDGET_SECONDS", 600))
-    p.add_argument("--jobs", type=int, default=_env("JOBS", 1))
+def _env_option(p, env_options: list, flag: str, name: str, default=None,
+                required: bool = False, **kwargs) -> None:
+    """Add an option that SACT_<name> overrides, and record it in
+    env_options for `_read_env`."""
+    action = p.add_argument(flag, default=default, required=required, **kwargs)
+    env_options.append((action, "SACT_" + name, default, required))
+
+
+def _read_env(env_options: list) -> None:
+    """Set each env-backed option's default from the environment as it is
+    now.  A set value stays a string: argparse converts it with `type` and
+    reports a bad value as a usage error (exit 2).  A set value also stands
+    in for a required option."""
+    for action, variable, default, required in env_options:
+        value = os.environ.get(variable)
+        action.default = default if value is None else value
+        action.required = required and value is None
+
+
+def _add_common(p, env_options: list) -> None:
+    _env_option(p, env_options, "--format", "FORMAT", "text",
+                type=_format, choices=FORMATS)
+    _env_option(p, env_options, "--cache-dir", "CACHE_DIR")
+    _env_option(p, env_options, "--budget-nodes", "BUDGET_NODES", 5_000_000, type=int)
+    _env_option(p, env_options, "--budget-seconds", "BUDGET_SECONDS", 600, type=float)
+    _env_option(p, env_options, "--jobs", "JOBS", 1, type=int)
 
 
 def _budget(args) -> SearchBudget:
@@ -72,26 +87,31 @@ def _budget(args) -> SearchBudget:
 
 
 def build_parser():
+    """The `sact` parser with its built-in defaults; it reads no environment.
+
+    The env-backed options are listed in the parser's `env_options`, as
+    (action, variable, default, required); `main` applies the environment
+    to them before each parse.
+    """
     parser = argparse.ArgumentParser(prog="sact",
                                      description="alternating and symmetric actions "
                                                  "on closed orientable surfaces")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    env = parser.env_options = []
 
-    env_genus = _env("GENUS")
     p = sub.add_parser("classify", help="weak conjugacy classes at a genus")
-    p.add_argument("--genus", type=int, default=env_genus,
-                   required=env_genus is None)
-    p.add_argument("--group", default=_env("GROUP"))
+    _env_option(p, env, "--genus", "GENUS", type=int, required=True)
+    _env_option(p, env, "--group", "GROUP")
     p.add_argument("--all", action="store_true",
                    help="sweep A_n and S_n for every n >= 4 under the Hurwitz bound")
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("weakgen", help="decide weak generation from two cyclic data sets")
     p.add_argument("--group", required=True)
     p.add_argument("--df", required=True)
     p.add_argument("--dg", required=True)
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("factor", help="cyclic factor of an element inside a data set")
     p.add_argument("--group", required=True)
@@ -99,7 +119,7 @@ def build_parser():
     p.add_argument("--element")
     p.add_argument("--standard", action="store_true",
                    help="factors of the standard generating pair")
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("lift", help="decide extension of an alternating action")
     p.add_argument("--group", required=True)
@@ -108,23 +128,29 @@ def build_parser():
     p.add_argument("--pi", required=True, help="cone permutation, e.g. '(3 4)' or '()'")
     p.add_argument("--self-normalizing", action="store_true",
                    help="run the exhaustive self-normalizing test instead")
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("free", help="free alternating actions and their extensions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("obstructions",
                        help="sweep for irreducible and hyperelliptic factors")
     p.add_argument("--group", required=True)
     p.add_argument("--genus", type=int, required=True)
-    _add_common(p)
+    _add_common(p, env)
 
     p = sub.add_parser("cache", help="inspect or clear the result cache")
     p.add_argument("action", choices=["info", "clear"])
-    _add_common(p)
+    _add_common(p, env)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The process's one parser: building it is most of a small call's cost."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +222,7 @@ def cmd_classify(args) -> int:
     packed = [(f, n, args.genus, args.budget_nodes, args.budget_seconds, args.cache_dir)
               for f, n in targets]
     if args.jobs > 1 and len(targets) > 1:
+        import concurrent.futures  # pulls in threading and logging: only here
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outs = list(pool.map(_classify_worker, packed))
     else:
@@ -361,7 +388,9 @@ def _emit(args, payload: dict, columns=None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = _parser()
+    _read_env(parser.env_options)
+    args = parser.parse_args(argv)
     handlers = {
         "classify": cmd_classify, "weakgen": cmd_weakgen, "factor": cmd_factor,
         "lift": cmd_lift, "free": cmd_free, "obstructions": cmd_obstructions,

@@ -31,7 +31,7 @@ class Signature:
     def __post_init__(self):
         if self.g0 < 0:
             raise ParseError("orbifold genus must be >= 0")
-        if any(m < 2 for m in self.periods):
+        if min(self.periods, default=2) < 2:
             raise ParseError("periods must be >= 2")
         if tuple(sorted(self.periods)) != self.periods:
             raise ParseError("periods must be sorted ascending")
@@ -87,35 +87,46 @@ def quotient_genus(g: int, order: int, periods: Sequence[int],
 
 def enumerate_signatures(group: GroupSpec, g: int) -> list:
     """All signatures whose periods are element orders of the group and whose
-    RH genus is exactly g.  Complete: each period eats at least 1/2 of the
-    remaining area, which bounds both r and g0."""
+    RH genus is exactly g, sorted by (g0, periods).
+
+    Solved in integers over the lcm L of the element orders: a period m
+    weighs (m - 1) * (L/m), and the weights of a signature's periods sum to
+    (2 - 2*g0) * L - (2 - 2g) * L / |G|.  Each order gets a multiplicity, so
+    the search is as deep as the number of distinct orders, whatever g is.
+    """
     if g < 2:
         raise ParseError("genus must be >= 2")
     orders = sorted(o for o in group.element_orders() if o >= 2)
-    target_chi = Fraction(2 - 2 * g, group.order)
+    lcm = math.lcm(*orders)
+    chi_lcm, rest = divmod((2 - 2 * g) * lcm, group.order)
+    if rest:
+        return []  # the weight sums are integers, so no g0 can match
+    weights = [(m - 1) * (lcm // m) for m in orders]
     out = []
     g0 = 0
-    while True:
-        need = Fraction(2 - 2 * g0) - target_chi  # required sum of (1 - 1/m)
-        if need < 0:
-            break
-        _fill_periods(orders, 0, need, [], out, g0)
+    while (need := (2 - 2 * g0) * lcm - chi_lcm) >= 0:
+        for mults in _multiplicities(weights, need):
+            periods = sum(((m,) * k for m, k in zip(orders, mults)), ())
+            out.append(Signature(g0, periods))
         g0 += 1
     return sorted(out, key=lambda s: (s.g0, s.periods))
 
 
-def _fill_periods(orders, start, need, acc, out, g0):
-    if need == 0:
-        out.append(Signature(g0, tuple(acc)))
+def _multiplicities(weights: Sequence[int], need: int):
+    """Every tuple k of non-negative integers with sum(k[j] * weights[j])
+    equal to need; recursion depth len(weights)."""
+    if not weights:
+        if need == 0:
+            yield ()
         return
-    for idx in range(start, len(orders)):
-        m = orders[idx]
-        w = Fraction(m - 1, m)
-        if w > need:
-            break  # orders ascending, so every later weight is larger too
-        acc.append(m)
-        _fill_periods(orders, idx, need - w, acc, out, g0)
-        acc.pop()
+    w = weights[0]
+    if len(weights) == 1:  # the last multiplicity is forced
+        if need % w == 0:
+            yield (need // w,)
+        return
+    for k in range(need // w + 1):
+        for tail in _multiplicities(weights[1:], need - k * w):
+            yield (k,) + tail
 
 
 # ---------------------------------------------------------------------------

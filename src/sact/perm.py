@@ -7,6 +7,7 @@ smallest moved point and fixed points omitted; the identity prints as ``()``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -208,11 +209,14 @@ class CycleType:
         return "(" + ",".join(str(k) for k in self.parts) + ")"
 
 
+@functools.lru_cache(maxsize=1024)
 def least_perm_of_type(ct: CycleType) -> Perm:
     """Lexicographically least permutation (by image tuple) of a cycle type.
 
     Fixed points sit on the smallest symbols, then cycles in ascending length
     occupy consecutive blocks, each cycle mapping a -> a+1 -> ... -> a.
+    Memoized (a CycleType and a Perm are immutable): canonical forms and
+    split-class labels ask for the same few types again and again.
     """
     cycles = []
     start = ct.fixed_points + 1

@@ -138,6 +138,19 @@ def _feasible_end_ids(table, g0: int) -> frozenset:
     return frozenset(range(len(table.classes)))
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _reach_before(table, class_id: int, after: frozenset) -> frozenset:
+    """Class ids x such that an element of class x times one of class_id
+    can land in a class of after.
+
+    A suffix's reach set is this step applied position by position from
+    `_feasible_end_ids`, so the memo serves every class tuple that shares a
+    suffix, or only its reach set.
+    """
+    return frozenset(x for x in range(len(table.classes))
+                     if table.product_support(x, class_id) & after)
+
+
 def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
                          clock: _Clock, normalize_first: bool = False
                          ) -> Iterator[GeneratingVector]:
@@ -154,16 +167,12 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
     r = len(class_ids)
     periods = tuple(sorted(table.class_orders[c] for c in class_ids))
     sig = Signature(g0, periods)
-    end_ids = _feasible_end_ids(table, g0)
-
+    # reach[i]: the classes from which the product of the first i elliptics
+    # can still close the relation
     reach = [None] * (r + 1)
-    reach[r] = end_ids
+    reach[r] = _feasible_end_ids(table, g0)
     for i in range(r - 1, -1, -1):
-        ok = set()
-        for x in range(len(table.classes)):
-            if table.product_support(x, class_ids[i]) & reach[i + 1]:
-                ok.add(x)
-        reach[i] = frozenset(ok)
+        reach[i] = _reach_before(table, class_ids[i], reach[i + 1])
     if table.identity_class_id() not in reach[0]:
         return
 

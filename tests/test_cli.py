@@ -2,10 +2,14 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from sact import cache as result_cache
+from sact import cli
 from sact.cli import CACHE_SCHEMA, _emit, main
 
 
@@ -261,3 +265,50 @@ def test_jobs_flag_is_deterministic(capsys):
     a = run(capsys, "classify", "--genus", "10", "--all", "--jobs", "2")
     b = run(capsys, "classify", "--genus", "10", "--all", "--jobs", "1")
     assert a == b
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built, build = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["free", "--n", "5", "--genus", "100"],
+                     ["classify", "--genus", "10", "--group", "A5"],
+                     ["free", "--n", "5", "--genus", "121"]):
+            assert run(capsys, *argv)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_env_is_read_on_each_call(capsys, monkeypatch):
+    argv = ["free", "--n", "5", "--genus", "100"]
+    monkeypatch.setenv("SACT_FORMAT", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["status"] == "no_free_action"
+    monkeypatch.delenv("SACT_FORMAT")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("genus: 100\n")
+
+    monkeypatch.setenv("SACT_GENUS", "10")
+    assert run(capsys, "classify", "--group", "A5")[0] == 0
+    monkeypatch.delenv("SACT_GENUS")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--group", "A5"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --genus" in capsys.readouterr().err
+
+
+def test_import_defers_the_pool_and_hash_modules():
+    probe = ("import sys, sact.cli; "
+             "print(sorted({'concurrent.futures', 'hashlib'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,53 @@ def brute_signatures(spec, g, max_r=14):
                                     (sym(5), 11), (alt_c2(4), 7)])
 def test_enumerate_signatures_complete(spec, g):
     assert set(enumerate_signatures(spec, g)) == brute_signatures(spec, g)
+
+
+def _signatures_by_fractions(group, g):
+    """Reference search: one recursion level per period, in Fraction
+    arithmetic."""
+    orders = sorted(o for o in group.element_orders() if o >= 2)
+    target_chi = Fraction(2 - 2 * g, group.order)
+    out = []
+
+    def fill(start, need, acc, g0):
+        if need == 0:
+            out.append(Signature(g0, tuple(acc)))
+            return
+        for idx in range(start, len(orders)):
+            w = Fraction(orders[idx] - 1, orders[idx])
+            if w > need:
+                break
+            acc.append(orders[idx])
+            fill(idx, need - w, acc, g0)
+            acc.pop()
+
+    g0 = 0
+    while Fraction(2 - 2 * g0) - target_chi >= 0:
+        fill(0, Fraction(2 - 2 * g0) - target_chi, [], g0)
+        g0 += 1
+    return sorted(out, key=lambda s: (s.g0, s.periods))
+
+
+@pytest.mark.parametrize("spec", [alt(n) for n in (4, 5, 6, 7)]
+                         + [sym(n) for n in (4, 5, 6, 7)]
+                         + [alt_c2(n) for n in (4, 5, 6)], ids=lambda s: s.name)
+def test_enumerate_signatures_matches_fraction_search(spec):
+    for g in range(2, 101):
+        assert enumerate_signatures(spec, g) == _signatures_by_fractions(spec, g), g
+
+
+def test_enumerate_signatures_depth_does_not_grow_with_periods():
+    # A4 at g = 400 has signatures with 137 periods; the search nests once
+    # per distinct element order (2 and 3), so 30 free frames suffice
+    limit = sys.getrecursionlimit()
+    sigs = enumerate_signatures(alt(4), 400)
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        assert enumerate_signatures(alt(4), 400) == sigs
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(s.r for s in sigs) == 137
 
 
 def test_signatures_round_trip_genus():

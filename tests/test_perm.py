@@ -111,6 +111,33 @@ def test_least_perm_of_type():
     assert least_perm_of_type(target) == best
 
 
+def _least_perm_by_blocks(ct):
+    """Reference: the least permutation of a cycle type, built afresh."""
+    cycles, start = [], ct.fixed_points + 1
+    for k in ct.parts:
+        cycles.append(tuple(range(start, start + k)))
+        start += k
+    return Perm.from_cycles(cycles, ct.n)
+
+
+def _partitions(n, smallest=2):
+    """Ascending tuples of parts >= smallest summing to at most n."""
+    yield ()
+    for k in range(smallest, n + 1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_least_perm_of_type_memo():
+    types = [CycleType(parts, n) for n in range(4, 9) for parts in _partitions(n)]
+    for ct in types:
+        assert least_perm_of_type(ct) == _least_perm_by_blocks(ct)
+    hits = least_perm_of_type.cache_info().hits
+    first = least_perm_of_type(types[-1])
+    assert least_perm_of_type.cache_info().hits == hits + 1
+    assert least_perm_of_type(CycleType(types[-1].parts, 8)) is first
+
+
 def test_cycle_type_invariants():
     with pytest.raises(ParseError):
         CycleType((1, 2), 5)
