@@ -62,7 +62,7 @@ class GroupDataSet:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @functools.cached_property
     def spec(self) -> GroupSpec:
         return GroupSpec(ALT if self.kind == ALTERNATING else SYM, self.n)
 

@@ -68,21 +68,34 @@ def _structural_genus(ds: GroupDataSet) -> int:
     return validate(ds, structure_only=True)
 
 
+_TRIVIAL = "cyclic factor needs a non-trivial element"
+
+
 def cyclic_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
     """Cyclic data set of the action restricted to <sigma>.
 
     Depends only on the entry classes; the data set is shape-checked, the
     realizability clauses being the caller's business.  Groups of order up
     to CLOSURE_ORDER_CAP answer once per (data set, class of sigma) from
-    their group table; larger ones, which have no table built for them,
-    run the direct formula on sigma.
+    their group table, where one lookup of sigma's image tuple gives its
+    class and proves membership; larger ones, which have no table built
+    for them, run the direct formula on sigma.
     """
     spec = ds.spec
+    if spec.order <= CLOSURE_ORDER_CAP:
+        table = group_table(spec)
+        try:
+            ci = table.class_id(sigma)
+        except KeyError:
+            # the table lists every member, so this raises
+            require_member(spec, sigma)
+            raise
+        if ci == table.identity_class_id():
+            raise MembershipError(_TRIVIAL)
+        return _class_factor(ds, ci)
     require_member(spec, sigma)
     if sigma.is_identity():
-        raise MembershipError("cyclic factor needs a non-trivial element")
-    if spec.order <= CLOSURE_ORDER_CAP:
-        return _class_factor(ds, group_table(spec).class_id(sigma))
+        raise MembershipError(_TRIVIAL)
     return _direct_factor(ds, sigma)
 
 

@@ -458,7 +458,13 @@ class ConjClass:
 
 
 class GroupTable:
-    """Explicit element list plus conjugacy classes, built once per spec."""
+    """Explicit element list plus conjugacy classes, built once per spec.
+
+    Elements are listed in lexicographic order of their image tuples.  Each
+    class is built as the orbit of its least element under conjugation by
+    the standard generators, and keyed once, from that element; classes are
+    sorted by key.  Class lookups go by image tuple.
+    """
 
     def __init__(self, spec: GroupSpec):
         if spec.order > TABLE_ORDER_CAP:
@@ -466,12 +472,8 @@ class GroupTable:
                 f"{spec.name} has order {spec.order}, above the element-table cap")
         self.spec = spec
         self.identity = Perm.identity(spec.degree)
-        self.elements = tuple(sorted(self._build_elements()))
-        self.classes = self._build_classes()
-        self._class_of = {}
-        for ci, cl in enumerate(self.classes):
-            for p in cl.elements:
-                self._class_of[p] = ci
+        self.elements = tuple(map(Perm._trusted, self._element_images()))
+        self.classes, self._class_of = self._build_classes()
         self.class_orders = tuple(cl.rep.order() for cl in self.classes)
         self.classes_by_order = {}
         for ci, m in enumerate(self.class_orders):
@@ -488,16 +490,17 @@ class GroupTable:
         self._join_cache = {}
         self._mask_gens = {self.trivial_mask: ()}
 
-    def _build_elements(self):
+    def _element_images(self) -> list:
+        """Image tuples of the elements, in lexicographic order."""
         spec = self.spec
-        if spec.family == ALT_C2:
-            alt_elems = [Perm(im) for im in itertools.permutations(range(1, spec.n + 1))]
-            alt_elems = [p for p in alt_elems if p.is_even()]
-            return [embed_alt_c2(a, w) for a in alt_elems for w in (False, True)]
-        perms = (Perm(im) for im in itertools.permutations(range(1, spec.n + 1)))
+        images = itertools.permutations(range(1, spec.n + 1))
         if spec.family == SYM:
-            return list(perms)
-        return [p for p in perms if p.is_even()]
+            return list(images)
+        even = list(itertools.compress(images, _lex_evenness(spec.n)))
+        if spec.family == ALT:
+            return even
+        fixed, swapped = (spec.n + 1, spec.n + 2), (spec.n + 2, spec.n + 1)
+        return [im + tail for im in even for tail in (fixed, swapped)]
 
     def class_key(self, p: Perm) -> tuple:
         spec = self.spec
@@ -508,18 +511,53 @@ class GroupTable:
         a0, w = split_alt_c2(p)
         return (a0.cycle_type().parts, split_label(a0), w)
 
-    def _build_classes(self):
-        buckets = {}
+    def _build_classes(self) -> tuple:
+        """(classes, {image tuple: class id}).
+
+        Scanning the elements in order, each one not yet placed starts a new
+        orbit, so it is the least element of its class.  Conjugates are
+        composed on image tuples padded with a leading 0, as in _close:
+        itemgetter at g^-1's images applied to padded x gives x * g^-1, and
+        itemgetter at those images applied to padded g gives g x g^-1.
+        """
+        conjugators = []
+        for g in self.spec.standard_generators():
+            conjugators.append((operator.itemgetter(*g.inverse().images),
+                                (0,) + g.images))
+        class_of = {}
+        reps = []
         for p in self.elements:
-            buckets.setdefault(self.class_key(p), []).append(p)
-        classes = []
-        for key in sorted(buckets):
-            elems = tuple(sorted(buckets[key]))
-            classes.append(ConjClass(rep=elems[0], elements=elems, key=key))
-        return classes
+            if p.images in class_of:
+                continue
+            orbit_id = len(reps)
+            reps.append(p)
+            class_of[p.images] = orbit_id
+            orbit = [p.images]
+            for x in orbit:
+                for at_inverse, padded in conjugators:
+                    y = operator.itemgetter(*at_inverse((0,) + x))(padded)
+                    if y not in class_of:
+                        class_of[y] = orbit_id
+                        orbit.append(y)
+        keys = [self.class_key(rep) for rep in reps]
+        order = sorted(range(len(reps)), key=keys.__getitem__)
+        class_id = [0] * len(reps)
+        for ci, orbit_id in enumerate(order):
+            class_id[orbit_id] = ci
+        # one pass in element order renumbers the orbits and leaves every
+        # class's elements sorted
+        members = [[] for _ in reps]
+        for p in self.elements:
+            ci = class_of[p.images] = class_id[class_of[p.images]]
+            members[ci].append(p)
+        classes = [ConjClass(rep=elems[0], elements=tuple(elems),
+                             key=keys[orbit_id])
+                   for elems, orbit_id in zip(members, order)]
+        return classes, class_of
 
     def class_id(self, p: Perm) -> int:
-        return self._class_of[p]
+        """Class id of a member; KeyError for anything else."""
+        return self._class_of[p.images]
 
     def centralizer(self, p: Perm) -> tuple:
         try:
@@ -535,7 +573,7 @@ class GroupTable:
         try:
             return self._power_class_cache[(ci, k)]
         except KeyError:
-            out = self._class_of[self.classes[ci].rep ** k]
+            out = self._class_of[(self.classes[ci].rep ** k).images]
             self._power_class_cache[(ci, k)] = out
             return out
 
@@ -544,12 +582,17 @@ class GroupTable:
         return self.spec.order // self.classes[ci].size
 
     def product_support(self, i: int, j: int) -> frozenset:
-        """Class ids reachable as products: {class(a*b) : a in C_i, b in C_j}."""
+        """Class ids reachable as products: {class(a*b) : a in C_i, b in C_j}.
+
+        class(a*b) = class(b*a), and b * rep runs over those classes as b
+        runs over C_j; itemgetter at rep's images, 0-based, composes it.
+        """
         try:
             return self._support_cache[(i, j)]
         except KeyError:
-            rep = self.classes[i].rep
-            out = frozenset(self._class_of[rep * b] for b in self.classes[j].elements)
+            class_of = self._class_of
+            after_rep = operator.itemgetter(*(k - 1 for k in self.classes[i].rep.images))
+            out = frozenset(class_of[after_rep(b.images)] for b in self.classes[j].elements)
             self._support_cache[(i, j)] = out
             return out
 
@@ -585,7 +628,7 @@ class GroupTable:
         if self._commutator_class_ids is None:
             found = set()
             for ci, cl in enumerate(self.classes):
-                found |= self.product_support(ci, self._class_of[cl.rep.inverse()])
+                found |= self.product_support(ci, self.class_id(cl.rep.inverse()))
             self._commutator_class_ids = frozenset(found)
         return self._commutator_class_ids
 
@@ -622,7 +665,21 @@ class GroupTable:
         return out
 
     def identity_class_id(self) -> int:
-        return self._class_of[self.identity]
+        return self._class_of[self.identity.images]
+
+
+def _lex_evenness(n: int) -> list:
+    """Whether each permutation of 1..n is even, in lexicographic order.
+
+    The k-th permutation's Lehmer code is the factorial-base digits of k,
+    and its parity is their sum: the block led by the d-th least symbol
+    repeats the parities on n - 1 symbols, flipped when d is odd.
+    """
+    even = [True]
+    for m in range(2, n + 1):
+        flipped = [not e for e in even]
+        even = (even + flipped) * (m // 2) + (even if m % 2 else [])
+    return even
 
 
 @functools.lru_cache(maxsize=None)

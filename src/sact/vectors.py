@@ -210,30 +210,47 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
             if table.class_id(p2) in reach[i + 1]:
                 yield x, p2
 
-    def dfs(i: int, partial: Perm, group: Optional[int]
-            ) -> Iterator[GeneratingVector]:
+    def frame(i: int, partial: Perm, group: Optional[int]) -> list:
+        """[i, partial, subgroup, pending steps or leaf vectors, found]."""
         clock.tick()
-        found = False
-        if i == r:
-            for vec in leaf(partial, group):
-                found = True
-                yield vec
-        else:
-            for x, p2 in steps(i, partial):
-                h2 = table.join(group, x) if track else None
-                if (i + 1, p2.images, h2) in dead:
-                    continue
+        pending = leaf(partial, group) if i == r else steps(i, partial)
+        return [i, partial, group, pending, False]
+
+    def descend(i: int, group: Optional[int], pending: Iterator[tuple]) -> bool:
+        """Push the next child of the frame at i < r not yet proven dead;
+        False when its steps are used up."""
+        for x, p2 in pending:
+            h2 = table.join(group, x) if track else None
+            if (i + 1, p2.images, h2) not in dead:
                 chosen.append(x)
-                for vec in dfs(i + 1, p2, h2):
-                    found = True
-                    yield vec
-                chosen.pop()
+                stack.append(frame(i + 1, p2, h2))
+                return True
+        return False
+
+    # depth-first over an explicit stack, so the depth is not bounded by
+    # the recursion limit; `found` marks frames whose subtree yielded
+    stack = [frame(0, identity, table.trivial_mask if track else None)]
+    while stack:
+        top = stack[-1]
+        i, partial, group, pending, _ = top
+        if i < r:
+            if descend(i, group, pending):
+                continue
+        else:
+            for vec in pending:
+                # found frames form a prefix of the stack
+                for f in reversed(stack):
+                    if f[4]:
+                        break
+                    f[4] = True
+                yield vec
         # reached only when the subtree ran to the end: a budget stop or a
         # closed generator records nothing
-        if not found:
+        stack.pop()
+        if not top[4]:
             dead.add((i, partial.images, group))
-
-    yield from dfs(0, identity, table.trivial_mask if track else None)
+        if stack:
+            chosen.pop()
 
 
 def _class_tuples(table, periods: Sequence[int]):

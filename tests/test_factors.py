@@ -316,6 +316,41 @@ def test_class_factor_runs_once_per_class():
     assert (info.misses, info.hits) == (1, five.size - 1)
 
 
+def _raised(fn, *args):
+    with pytest.raises(SactError) as err:
+        fn(*args)
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+def test_cyclic_factor_rejects_non_members_and_the_identity(monkeypatch):
+    # the table path: a miss in the table is a non-member
+    ds = icosa()
+    assert _raised(cyclic_factor, ds, parse_perm("(1 2)", 5)) == \
+        "MembershipError: (1 2) is not in A5"
+    assert _raised(cyclic_factor, ds, parse_perm("(1 2 3)", 6)) == \
+        "MembershipError: (1 2 3) is not in A5"
+    assert _raised(cyclic_factor, ds, parse_perm("()", 6)) == \
+        "MembershipError: () is not in A5"
+    assert _raised(cyclic_factor, ds, parse_perm("()", 5)) == \
+        "MembershipError: cyclic factor needs a non-trivial element"
+
+    # the direct path, above the closure cap, builds no table
+    def no_table(self, spec):
+        raise AssertionError(f"group table built for {spec.name}")
+
+    monkeypatch.setattr(GroupTable, "__init__", no_table)
+    s8 = parse_dataset(
+        "(8,0;[(1 2),2;2],[(1 2 3 4 5 6 7),7;7],[(1 2 3 4 5 6 7 8),8;8])", SYMMETRIC)
+    a8 = parse_dataset("(8,1;[(1 2 3),3;3],[(1 2)(3 4 5 6),4;2,4]^[2])", ALTERNATING)
+    assert s8.spec.order > CLOSURE_ORDER_CAP
+    assert _raised(cyclic_factor, s8, parse_perm("(1 2)", 9)) == \
+        "MembershipError: (1 2) is not in S8"
+    assert _raised(cyclic_factor, s8, parse_perm("()", 8)) == \
+        "MembershipError: cyclic factor needs a non-trivial element"
+    assert _raised(cyclic_factor, a8, parse_perm("(1 2)", 8)) == \
+        "MembershipError: (1 2) is not in A8"
+
+
 def test_factor_above_the_closure_cap_builds_no_table(monkeypatch):
     # factors as the direct formula gave them before class tables existed
     def no_table(self, spec):

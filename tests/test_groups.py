@@ -6,7 +6,7 @@ import pytest
 
 import sact.groups
 from sact.errors import MembershipError
-from sact.groups import (GroupSpec, _schreier_sims_order, alt, alt_c2,
+from sact.groups import (ALT, SYM, GroupSpec, _schreier_sims_order, alt, alt_c2,
                          are_conjugate, centralizer_order, commutator_witness,
                          conjugator_in_sym, embed_alt_c2, generates,
                          group_table, parse_group, spans, split_alt_c2,
@@ -292,6 +292,72 @@ def test_membership_alt_c2():
     assert str(a) == "(1 2 3)" and w
     assert not spec.contains(parse_perm("(1 2)", 6))  # odd on the block
     assert not spec.contains(parse_perm("(4 5)", 6))  # moves the block into the tail
+
+
+# ---------------------------------------------------------------------------
+# element tables
+
+
+def _element_key(spec, p):
+    """The class key GroupTable.class_key gives p."""
+    if spec.family == SYM:
+        return (p.cycle_type().parts,)
+    if spec.family == ALT:
+        return (p.cycle_type().parts, split_label(p))
+    a0, w = split_alt_c2(p)
+    return (a0.cycle_type().parts, split_label(a0), w)
+
+
+def _table_by_element_keys(spec):
+    """(elements, [(key, class elements)]) as GroupTable built them before
+    it built classes as conjugation orbits: every element checked by Perm,
+    sorted, and keyed one by one."""
+    perms = [Perm(im) for im in itertools.permutations(range(1, spec.n + 1))]
+    if spec.family == SYM:
+        elements = perms
+    elif spec.family == ALT:
+        elements = [p for p in perms if p.is_even()]
+    else:
+        elements = [embed_alt_c2(a, w) for a in perms if a.is_even() for w in (False, True)]
+    elements = tuple(sorted(elements))
+    buckets = {}
+    for p in elements:
+        buckets.setdefault(_element_key(spec, p), []).append(p)
+    return elements, [(key, tuple(sorted(buckets[key]))) for key in sorted(buckets)]
+
+
+TABLE_SPECS = [f(n) for f in (alt, sym, alt_c2) for n in (4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_orbit_table_matches_the_element_keyed_build(spec):
+    table = sact.groups.GroupTable(spec)
+    elements, classes = _table_by_element_keys(spec)
+    assert table.elements == elements
+    assert [(cl.key, cl.elements) for cl in table.classes] == classes
+    assert [cl.rep for cl in table.classes] == [elems[0] for _, elems in classes]
+    assert table.class_orders == tuple(elems[0].order() for _, elems in classes)
+    by_order = {}
+    for ci, (_, elems) in enumerate(classes):
+        by_order.setdefault(elems[0].order(), []).append(ci)
+    assert table.classes_by_order == by_order
+    assert table.identity_class_id() == next(
+        ci for ci, (_, elems) in enumerate(classes) if table.identity in elems)
+    # the classes share the element list's objects, and lookups agree
+    shared = {p.images: p for p in table.elements}
+    for ci, cl in enumerate(table.classes):
+        for x in cl.elements:
+            assert x is shared[x.images]
+            assert table.class_id(x) == ci
+
+
+@pytest.mark.parametrize("spec", [sym(5), alt(6), alt_c2(5)], ids=str)
+def test_product_support_is_the_class_product(spec):
+    table = sact.groups.GroupTable(spec)
+    for i, ci in enumerate(table.classes):
+        for j, cj in enumerate(table.classes):
+            want = frozenset(table.class_id(a * b) for a in ci.elements for b in cj.elements)
+            assert table.product_support(i, j) == want, (ci.key, cj.key)
 
 
 # ---------------------------------------------------------------------------

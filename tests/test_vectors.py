@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -196,6 +198,21 @@ def test_node_budget_is_exact(spec, g, nodes, unfinished):
     assert not res.complete
     assert res.incomplete_signatures == unfinished
     assert enumerate_weak_classes(spec, g, budget=SearchBudget(max_nodes=nodes)).complete
+
+
+def test_class_tuple_depth_does_not_grow_with_positions():
+    # A4 on (0;3^60) at g = 229: the search over 60 positions runs inside 30
+    # free frames, since it keeps its own stack
+    sig = [signature(0, [3] * 60)]
+    rows = [str(item.ds) for item in enumerate_weak_classes(alt(4), 229, signatures=sig).items]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        res = enumerate_weak_classes(alt(4), 229, signatures=sig)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.complete and rows
+    assert [str(item.ds) for item in res.items] == rows
 
 
 def test_materialize_and_variants():
