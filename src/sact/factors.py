@@ -228,12 +228,14 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
             continue
         for s_class in sigma_classes:
             sigma = s_class.rep
-            seen = set()
-            centralizer = table.centralizer(sigma)
+            # one tau per orbit of sigma's centralizer: conjugating the pair
+            # by it fixes sigma and keeps generation and tau's class
+            least = table.orbit_least(table.centralizer(sigma))
             for tau in table.elements:
-                if table.class_id(tau) not in tau_ok or tau in seen:
+                if table.class_id(tau) not in tau_ok:
                     continue
-                seen.update(z * tau * z.inverse() for z in centralizer)
+                if least is not None and not least(tau.images):
+                    continue
                 if spans(spec, [sigma, tau]):
                     return GenerationWitness(ds, sigma, tau)
     return None

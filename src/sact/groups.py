@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegreeCapExceeded, MembershipError, ParseError
 from .perm import CycleType, Perm, least_perm_of_type
@@ -478,7 +478,14 @@ class GroupTable:
         self.classes_by_order = {}
         for ci, m in enumerate(self.class_orders):
             self.classes_by_order.setdefault(m, []).append(ci)
+        # the center is trivial in Sym(n), n >= 3, and in Alt(n), n >= 4;
+        # in Alt(n) x C_2 it is generated by the central swap
+        self._center = {self.identity.images}
+        if spec.family == ALT_C2:
+            self._center.add(embed_alt_c2(Perm.identity(spec.n), True).images)
         self._centralizer_cache = {}
+        self._least_second_cache = {}
+        self._least_under_cache = {}
         self._power_class_cache = {}
         self._support_cache = {}
         self._closure_cache = {}
@@ -560,11 +567,76 @@ class GroupTable:
         return self._class_of[p.images]
 
     def centralizer(self, p: Perm) -> tuple:
+        """Elements commuting with p, in element order.
+
+        z commutes with p when z(p(i)) == p(z(i)) at every point i.  Both
+        sides are composed on image tuples: z after p by itemgetter at p's
+        images, 0-based, and p after z by indexing p's padded images.
+        """
         try:
-            return self._centralizer_cache[p]
+            return self._centralizer_cache[p.images]
         except KeyError:
-            out = tuple(z for z in self.elements if z * p == p * z)
-            self._centralizer_cache[p] = out
+            z_after_p = operator.itemgetter(*(k - 1 for k in p.images))
+            p_at = ((0,) + p.images).__getitem__
+            out = tuple(z for z in self.elements
+                        if z_after_p(z.images) == tuple(map(p_at, z.images)))
+            self._centralizer_cache[p.images] = out
+            return out
+
+    def orbit_least(self, zs: Iterable[Perm]) -> Optional[Callable[[tuple], bool]]:
+        """A test on image tuples x: whether x is least, in element order,
+        among its conjugates z x z^-1 for z in zs.  None when every z is
+        central, so that every x passes.
+
+        Elements are listed in lexicographic order of their image tuples, so
+        the test compares tuples.  z x z^-1 is z after x, by itemgetter at
+        x's images on z's padded images, then after z^-1, by itemgetter at
+        z^-1's images, 0-based.
+        """
+        # sorting the points by their images lists z^-1's images, 0-based
+        moving = [((0,) + z.images,
+                   operator.itemgetter(*sorted(range(len(z.images)),
+                                               key=z.images.__getitem__)))
+                  for z in zs if z.images not in self._center]
+        if not moving:
+            return None
+
+        def least(x: tuple) -> bool:
+            z_after_x = operator.itemgetter(*x)
+            return all(after_z_inverse(z_after_x(padded)) >= x
+                       for padded, after_z_inverse in moving)
+        return least
+
+    def least_second(self, c0: int, c1: int) -> tuple:
+        """The elements of class c1 least in their orbit under conjugation by
+        the centralizer of class c0's representative, in element order: the
+        second elliptic's choices once the first is pinned to that
+        representative."""
+        key = (c0, c1)
+        out = self._least_second_cache.get(key)
+        if out is None:
+            least = self.orbit_least(self.centralizer(self.classes[c0].rep))
+            out = self.classes[c1].elements
+            if least is not None:
+                out = tuple(x for x in out if least(x.images))
+            self._least_second_cache[key] = out
+        return out
+
+    def least_under_centralizer(self, mask: int) -> Optional[Callable[[tuple], bool]]:
+        """orbit_least for the centralizer of the subgroup with bitmask
+        `mask` (trivial_mask or a mask join returned), memoized per mask.
+
+        The centralizer of a subgroup is the common centralizer of any set
+        that generates it, here the generators the mask was closed from.
+        """
+        try:
+            return self._least_under_cache[mask]
+        except KeyError:
+            zs = self.elements
+            for padded in self._mask_gens[mask]:
+                commuting = {z.images for z in self.centralizer(Perm._trusted(padded[1:]))}
+                zs = [z for z in zs if z.images in commuting]
+            out = self._least_under_cache[mask] = self.orbit_least(zs)
             return out
 
     def power_class(self, ci: int, k: int) -> int:
@@ -701,19 +773,23 @@ def commutator_witness(spec: GroupSpec, target: Perm) -> Optional[tuple]:
     return None
 
 
-def commutator_witnesses(spec: GroupSpec, target: Perm):
+def commutator_witnesses(spec: GroupSpec, target: Perm,
+                         least: Optional[Callable[[tuple], bool]] = None):
     """All commutator presentations of target, lazily, in deterministic order.
 
     [r1, r2] = target is solved as r1 r2 r1^-1 = target * r2, so for each r2
     the candidates r1 run over one conjugator times the centralizer of r2.
     r2 and target * r2 share a table class, so the conjugator exists, and
-    it and the centralizer lie in the group, so every r1 does.
+    it and the centralizer lie in the group, so every r1 does.  With
+    `least`, a test on image tuples, only the r2 that pass it are scanned.
     """
     require_member(spec, target)
     table = group_table(spec)
     for r2 in table.elements:
         c = target * r2
         if table.class_id(c) != table.class_id(r2):
+            continue
+        if least is not None and not least(r2.images):
             continue
         c0 = conjugator_in_group(spec, r2, c)
         for z in table.centralizer(r2):

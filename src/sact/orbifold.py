@@ -10,6 +10,7 @@ Text grammars:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
@@ -175,11 +176,13 @@ def validate_cyclic(d: CyclicDataSet) -> int:
         if m < 2 or n % m != 0 or math.gcd(c, m) != 1 or not 1 <= c < m:
             raise ValidationFailure("divisibility", f"cone ({c},{m}) in degree {n}")
     orders = [m for _, m in d.cones]
-    full = math.lcm(*orders) if orders else 1
-    for i in range(len(orders)):
-        rest = orders[:i] + orders[i + 1:]
-        if (math.lcm(*rest) if rest else 1) != full:
-            raise ValidationFailure("lcm", f"order {orders[i]} is lcm-essential")
+    full = math.lcm(*orders)
+    # only an order that occurs once can be lcm-essential; the distinct
+    # orders are divisors of n, so there are few of them
+    counts = collections.Counter(orders)
+    for m in orders:
+        if counts[m] == 1 and math.lcm(*(k for k in counts if k != m)) != full:
+            raise ValidationFailure("lcm", f"order {m} is lcm-essential")
     if d.g0 == 0 and full != n:
         raise ValidationFailure("lcm", f"lcm {full} != degree {n} with g0 = 0")
     total = sum((n // m) * c for c, m in d.cones)

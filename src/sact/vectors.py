@@ -24,6 +24,25 @@ the states whose subtree yielded nothing and skips them when they recur
 H is the whole group, so it runs no generation test; a genus-1 leaf tests
 each commutator solution with groups.spans, which compares the order of
 the subgroup they generate with the group's.
+
+Existence searches (normalize_first, as in weak-class enumeration) at
+quotient genus 0 or 1 also break symmetry: they branch only on choices
+least, in element order, in their orbit under conjugation by the
+centralizer of what is already fixed.  The first elliptic is pinned to its
+class representative, so the second runs over the orbit-least elements of
+its class under that representative's centralizer
+(GroupTable.least_second); a genus-1 leaf scans only the handle elements r2
+that are least under the common centralizer of the chosen elliptics
+(GroupTable.least_under_centralizer).  Conjugating a solution by such an
+element keeps every fixed choice and the partial product and gives a
+solution with a smaller entry at the branch point, so a subtree has a
+solution exactly when its pruned subtree has one: dead-state records stay
+exact, and the first solution in DFS order, which is orbit-least at every
+pruned position, is the one found.  Pruned choices cost no node.  At genus
+>= 2 the leaf pins the first handle pair, which conjugation moves, so
+those searches, and the full listings (enumerate_vectors,
+vectors_for_dataset), are not pruned.
+
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """
@@ -180,6 +199,9 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
     # the subgroup the chosen elliptics generate, as a table bitmask; at
     # g0 >= 2 the standard handle pair generates, so it is not tracked
     track = g0 <= 1
+    # symmetry breaking: an existence search branches only on orbit-least
+    # choices; at g0 >= 2 the leaf pins a handle pair that conjugation moves
+    prune = normalize_first and track
     chosen: list = []
     # (i, partial product, subgroup) states whose subtree yielded nothing:
     # the subtree below position i depends on nothing else
@@ -191,7 +213,8 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
             if group == table.full_mask:
                 yield GeneratingVector(spec, sig, tuple(chosen), ())
             return
-        for handles in handle_solutions(spec, g0, chosen, product, clock.tick):
+        least = table.least_under_centralizer(group) if prune else None
+        for handles in handle_solutions(spec, g0, chosen, product, clock.tick, least):
             yield GeneratingVector(spec, sig, tuple(chosen), handles)
 
     def steps(i: int, partial: Perm) -> Iterator[tuple]:
@@ -203,6 +226,8 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
             return
         if normalize_first and i == 0:
             candidates = (table.classes[class_ids[0]].rep,)
+        elif prune and i == 1:
+            candidates = table.least_second(class_ids[0], class_ids[1])
         else:
             candidates = table.classes[class_ids[i]].elements
         for x in candidates:
@@ -360,7 +385,14 @@ class WeakClass:
 class WeakClassList:
     items: list = field(default_factory=list)
     complete: bool = True
-    incomplete_signatures: list = field(default_factory=list)
+    # the signatures a budget stop left unfinished, in search order
+    unfinished: Sequence[Signature] = ()
+
+    @property
+    def incomplete_signatures(self) -> list:
+        """The unfinished signatures as text, rendered when read: a stop
+        early in a long signature list leaves tens of thousands."""
+        return [str(s) for s in self.unfinished]
 
 
 def _multiset_key(table, ids: Sequence[int]) -> tuple:
@@ -420,7 +452,7 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
                 result.items.append(WeakClass(spec, sig, key, vec, ds))
     except BudgetExhausted as exc:
         result.complete = False
-        result.incomplete_signatures = [str(s) for s in sigs[i:]]
+        result.unfinished = sigs[i:]
         if raise_on_budget:
             exc.partial = result
             raise

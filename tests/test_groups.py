@@ -469,3 +469,48 @@ def test_join_is_the_generated_subgroup(spec):
             assert table.join(joined, x) == joined
             mask = joined
     assert table.join(table.full_mask, table.elements[1]) == table.full_mask
+
+
+def _orbit_minima(zs, xs):
+    """Oracle: the least element of each orbit of xs under conjugation by zs."""
+    xs = set(xs)
+    return sorted({min(z * x * z.inverse() for z in zs) for x in xs})
+
+
+@pytest.mark.parametrize("spec", [sym(4), alt(5), alt_c2(4), sym(5)], ids=str)
+def test_least_second_keeps_one_element_per_centralizer_orbit(spec):
+    table = group_table(spec)
+    for c0, cl0 in enumerate(table.classes):
+        zs = table.centralizer(cl0.rep)
+        for c1, cl1 in enumerate(table.classes):
+            assert list(table.least_second(c0, c1)) == _orbit_minima(zs, cl1.elements)
+
+
+def test_least_second_of_a_transposition_in_sym6():
+    # C((1 2)) = S2 x S4 cuts the 120 elements of type 3,2 to five orbits
+    table = group_table(sym(6))
+    c0 = next(i for i, cl in enumerate(table.classes) if cl.key == ((2,),))
+    c1 = next(i for i, cl in enumerate(table.classes) if cl.key == ((2, 3),))
+    assert len(table.classes[c1].elements) == 120
+    assert len(table.least_second(c0, c1)) == 5
+
+
+@pytest.mark.parametrize("spec", [sym(4), alt(5), alt_c2(4)], ids=str)
+def test_least_under_centralizer_is_the_subgroup_centralizer_test(spec):
+    """The test passes exactly the orbit minima under the elements that
+    commute with every chosen element, and is None when they are central."""
+    table = sact.groups.GroupTable(spec)
+    center = [z for z in table.elements if all(z * x == x * z for x in table.elements)]
+    rng = random.Random(11)
+    for _ in range(20):
+        mask, chosen = table.trivial_mask, []
+        for x in rng.sample(table.elements, 3):
+            mask = table.join(mask, x)
+            chosen.append(x)
+            zs = [z for z in table.elements if all(z * y == y * z for y in chosen)]
+            least = table.least_under_centralizer(mask)
+            if len(zs) == len(center):
+                assert least is None
+            else:
+                passed = [p for p in table.elements if least(p.images)]
+                assert passed == _orbit_minima(zs, table.elements)

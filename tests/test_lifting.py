@@ -215,6 +215,35 @@ def _lift_sweep_descents(searches):
         yield ds, g, descent(d_text, pi_text, len(cone_slots(ds)))
 
 
+def _lift_sweep_verdicts(monkeypatch):
+    """Every verdict the lift-sweep inputs reach: each self_normalizing
+    report with all the decide_lift verdicts it went through, then the
+    single lift questions."""
+    out = []
+
+    def record(ds, inv, budget=None):
+        verdict = decide_lift(ds, inv, budget)
+        out.append(verdict.to_json())
+        return verdict
+
+    monkeypatch.setattr(sact.lifting, "decide_lift", record)
+    for text in SELF_NORMALIZING_INPUTS:
+        report = self_normalizing(parse_dataset(text, ALTERNATING))
+        out.append((str(report.ds), report.by_condition, report.by_exhaustion))
+    for text, d_text, pi_text in LIFT_QUESTION_INPUTS:
+        ds = parse_dataset(text, ALTERNATING)
+        out.append(decide_lift(ds, descent(d_text, pi_text, len(cone_slots(ds)))).to_json())
+    return out
+
+
+def test_symmetry_breaking_changes_no_lift_verdict(monkeypatch, unbroken_symmetry):
+    """The lift-sweep verdicts and their witnesses are the same when the
+    extension searches branch on every choice."""
+    unbroken = _lift_sweep_verdicts(monkeypatch)
+    monkeypatch.undo()  # restores both rules and decide_lift
+    assert _lift_sweep_verdicts(monkeypatch) == unbroken
+
+
 def test_match_descent_agrees_with_bijection_enumeration():
     """Every (descent, Sym and AxC2 candidate) pair of the lift-sweep inputs
     gets the verdict the enumeration of cone matchings gives."""
@@ -379,8 +408,8 @@ def test_self_normalizing_false_for_icosahedral():
     assert WLS in kinds
 
 
-@pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=50)],
-                         ids=["unbounded", "50-nodes"])
+@pytest.mark.parametrize("budget", [None, SearchBudget(max_nodes=20)],
+                         ids=["unbounded", "20-nodes"])
 @pytest.mark.parametrize("spec,g", [(alt(4), 7), (alt(5), 21)], ids=["A4@7", "A5@21"])
 def test_self_normalizing_shares_searches_without_changing_verdicts(
         monkeypatch, spec, g, budget):

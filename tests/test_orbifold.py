@@ -1,9 +1,11 @@
 import inspect
 import itertools
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sact.errors import NonIntegralError, ParseError, ValidationFailure
 from sact.factors import _non_integral_quotient
@@ -141,6 +143,53 @@ def test_validate_cyclic_failures():
     assert err.value.condition == "divisibility"
     # the hyperelliptic shape at any even cone count is fine, genus (k-2)/2
     assert validate_cyclic(cyclic_data_set(2, 0, [(1, 2)] * 6)) == 2
+
+
+def _quadratic_validate_cyclic(d):
+    """validate_cyclic with its lcm check taken over every leave-one-out
+    list, as it was first written."""
+    n = d.degree
+    for c, m in d.cones:
+        if m < 2 or n % m != 0 or math.gcd(c, m) != 1 or not 1 <= c < m:
+            raise ValidationFailure("divisibility", f"cone ({c},{m}) in degree {n}")
+    orders = [m for _, m in d.cones]
+    full = math.lcm(*orders) if orders else 1
+    for i in range(len(orders)):
+        rest = orders[:i] + orders[i + 1:]
+        if (math.lcm(*rest) if rest else 1) != full:
+            raise ValidationFailure("lcm", f"order {orders[i]} is lcm-essential")
+    if d.g0 == 0 and full != n:
+        raise ValidationFailure("lcm", f"lcm {full} != degree {n} with g0 = 0")
+    total = sum((n // m) * c for c, m in d.cones)
+    if total % n != 0:
+        raise ValidationFailure("congruence", f"sum (n/m)c = {total} mod {n}")
+    g = rh_genus(n, d.signature)
+    if g is None:
+        raise ValidationFailure("integrality", "genus is not a non-negative integer")
+    return g
+
+
+@st.composite
+def cyclic_shapes(draw):
+    """Cyclic data sets whose cone orders divide the degree, plus now and
+    then a cone that does not."""
+    n = draw(st.integers(2, 72))
+    divisors = [m for m in range(2, n + 1) if n % m == 0]
+    cones = []
+    for m in draw(st.lists(st.sampled_from(divisors), max_size=10)):
+        units = [c for c in range(1, m) if math.gcd(c, m) == 1]
+        cones.append((draw(st.sampled_from(units)), m))
+    if draw(st.integers(0, 9)) == 0:
+        cones.append((1, draw(st.integers(2, 80))))
+    return cyclic_data_set(n, draw(st.integers(0, 3)), cones)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cyclic_shapes())
+def test_validate_cyclic_matches_the_quadratic_lcm_check(d):
+    """Same genus or same failure and message (which names the condition)
+    as the check of every leave-one-out lcm."""
+    assert _outcome(validate_cyclic, d) == _outcome(_quadratic_validate_cyclic, d)
 
 
 def test_free_data_sets():

@@ -187,7 +187,7 @@ def test_budget_exhaustion_is_reported():
 @pytest.mark.parametrize("spec,g,nodes,unfinished", [
     (alt(4), 10, 12, ["(1;2,2,2)"]),
     (alt_c2(4), 7, 14, ["(1;2)"]),
-    (sym(4), 10, 28, ["(0;2,4,4,4)", "(0;3,3,3,4)", "(1;4)"]),
+    (sym(4), 10, 27, ["(0;2,4,4,4)", "(0;3,3,3,4)", "(1;4)"]),
 ], ids=["A4@10", "AxC24@7", "S4@10"])
 def test_node_budget_is_exact(spec, g, nodes, unfinished):
     """Each DFS node and each scanned commutator presentation of a g0 = 1
@@ -401,3 +401,34 @@ def test_dead_state_memo_fires(monkeypatch):
                         _reference_vectors_for_classes)
     assert not enumerate_weak_classes(sym(4), 49, signatures=sig,
                                       budget=SearchBudget(max_nodes=100_000)).complete
+
+
+def test_second_elliptic_rule_fires(monkeypatch):
+    """S5@11 finishes in 28 nodes only because the second elliptic runs
+    over the orbit-least elements of its class under the centralizer of
+    the pinned first one; over the whole class it needs more."""
+    assert enumerate_weak_classes(sym(5), 11, budget=SearchBudget(max_nodes=28)).complete
+    monkeypatch.setattr(GroupTable, "least_second",
+                        lambda self, c0, c1: self.classes[c1].elements)
+    assert not enumerate_weak_classes(sym(5), 11, budget=SearchBudget(max_nodes=28)).complete
+
+
+def test_handle_scan_rule_fires(monkeypatch):
+    """S4@7 finishes in 62 nodes only because its g0 = 1 handle scans skip
+    every r2 that the common centralizer of the elliptics moves to a
+    smaller element; scanning every r2 needs more."""
+    assert enumerate_weak_classes(sym(4), 7, budget=SearchBudget(max_nodes=62)).complete
+    monkeypatch.setattr(GroupTable, "least_under_centralizer", lambda self, mask: None)
+    assert not enumerate_weak_classes(sym(4), 7, budget=SearchBudget(max_nodes=62)).complete
+
+
+@pytest.mark.parametrize("spec,g,sigs", COVERED_PAIRS,
+                         ids=[f"{s.name}@{g}" + ("" if sigs is None else "-sig")
+                              for s, g, sigs in COVERED_PAIRS])
+def test_symmetry_breaking_matches_the_unbroken_search(spec, g, sigs, monkeypatch,
+                                                       unbroken_symmetry):
+    """Branching only on orbit-least choices changes no weak class and no
+    witness vector: the first vector in DFS order is orbit-least."""
+    unbroken = _weak_class_rows(spec, g, sigs)
+    monkeypatch.undo()  # restores both rules
+    assert _weak_class_rows(spec, g, sigs) == unbroken
