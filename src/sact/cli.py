@@ -5,8 +5,9 @@ Seven options take their default from an environment variable: --format,
 from SACT_FORMAT, SACT_CACHE_DIR, SACT_BUDGET_NODES, SACT_BUDGET_SECONDS and
 SACT_JOBS, and classify's --genus and --group from SACT_GENUS and
 SACT_GROUP.  `main` builds one parser per process and reads these variables
-on every call.  Exit codes: 0 success, 2 bad input, 3 budget exhausted
-(partial output is still printed, flagged incomplete), 4 internal
+on every call.  Exit codes: 0 success, 1 stdout closed by its reader
+before the output was written (no traceback), 2 bad input, 3 budget
+exhausted (partial output is still printed, flagged incomplete), 4 internal
 inconsistency in the exact arithmetic.
 """
 
@@ -21,20 +22,19 @@ import sys
 
 from . import __version__
 from . import cache as result_cache
-from .datasets import (ALTERNATING, SYMMETRIC, canonical_form, format_dataset,
-                       parse_dataset, validate)
-from .errors import (BudgetExhausted, NegativeMultiplicityError,
-                     NonIntegralError, ParseError, SactError)
-from .factors import (cyclic_factor, obstruction_report, standard_factors,
-                      weakly_generates)
-from .groups import ALT, SYM, GroupSpec, parse_group
+from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_entries,
+                       class_slots, format_dataset, parse_dataset, validate)
+from .errors import BudgetExhausted, InconsistencyError, ParseError, SactError
+from .factors import (class_entries, class_factor, cyclic_factor,
+                      obstruction_report, standard_factors, weakly_generates)
+from .groups import ALT, SYM, GroupSpec, group_table, parse_group
 from .lifting import (InvolutionDescent, decide_lift, free_action_analysis,
                       self_normalizing)
 from .orbifold import parse_cyclic
 from .perm import parse_perm
-from .vectors import SearchBudget, enumerate_weak_classes
+from .vectors import SearchBudget, checked_vector, enumerate_weak_classes
 
-EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 2, 3, 4
+EXIT_OK, EXIT_PIPE, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 # Part of every classify cache key: raise it whenever a change to the
 # search or to the factors could alter a stored row, so that entries
@@ -172,15 +172,26 @@ def _dataset_group(args) -> GroupSpec:
 
 def classify_group_rows(family: str, n: int, genus: int,
                         budget_nodes, budget_seconds) -> dict:
-    """Rows for one group; module-level so worker processes can run it."""
+    """Rows for one group; module-level so worker processes can run it.
+
+    A Sym/Alt row depends only on the class tuple of its witness vector:
+    the canonical form comes from the classes' slot facts, and both
+    standard factors from the canonical entry classes at the classify genus.
+    """
     spec = GroupSpec(family, n)
     budget = SearchBudget(budget_nodes, budget_seconds)
     result = enumerate_weak_classes(spec, genus, budget)
+    table = group_table(spec)
+    standard = [table.class_id(x) for x in spec.standard_generators()]
     rows = []
     for item in result.items:
+        elliptic = checked_vector(item.vector).elliptic
         if item.ds is not None:
-            canon = canonical_form(item.ds)
-            f_sigma, f_tau = standard_factors(canon)
+            kind = item.ds.kind
+            slots = class_slots(table, map(table.class_id, elliptic))
+            canon = GroupDataSet(kind, n, item.sig.g0, canonical_entries(kind, n, slots))
+            entries = class_entries(table, canon.entries)
+            f_sigma, f_tau = (class_factor(table, genus, entries, ci) for ci in standard)
             rows.append({
                 "group": spec.name,
                 "signature": str(item.sig),
@@ -192,7 +203,7 @@ def classify_group_rows(family: str, n: int, genus: int,
             rows.append({
                 "group": spec.name,
                 "signature": str(item.sig),
-                "data_set": "vector:" + ",".join(str(s) for s in item.vector.elliptic),
+                "data_set": "vector:" + ",".join(str(s) for s in elliptic),
                 "factor_sigma": "-",
                 "factor_tau": "-",
             })
@@ -397,11 +408,19 @@ def main(argv=None) -> int:
         "cache": cmd_cache,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # a reader that closed the pipe early shows here at the latest
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's recipe: point stdout at devnull, so that the flush at
+        # interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExhausted as exc:
         print(f"incomplete: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (NonIntegralError, NegativeMultiplicityError) as exc:
+    except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except SactError as exc:  # every other package error is bad input

@@ -17,11 +17,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import KindMismatch, ParseError, ValidationFailure
-from .groups import (ALT, SYM, GroupSpec, commutator_witnesses, flip_label,
-                     generates, group_table, spans, split_label)
+from .groups import (ALT, SYM, GroupSpec, GroupTable, commutator_witnesses,
+                     flip_label, generates, group_table, spans, split_label)
 from .orbifold import Signature, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
@@ -216,10 +216,21 @@ def cone_slots(ds: GroupDataSet) -> tuple:
     return tuple(out)
 
 
-def _tagged_multiset(ds: GroupDataSet, flip: bool = False) -> tuple:
+def class_slots(table: GroupTable, class_ids: Iterable[int]) -> tuple:
+    """cone_slots read off the Sym(n) or Alt(n) table, one slot per class id:
+    the class order and the cycle type and tag of its key."""
+    tagged = table.spec.family == ALT
+    out = []
+    for ci in class_ids:
+        key = table.classes[ci].key
+        out.append((table.class_orders[ci], key[0], key[1] if tagged else "whole"))
+    return tuple(out)
+
+
+def _tagged_multiset(slots: Sequence[tuple], flip: bool = False) -> tuple:
     """The cone slots sorted by (order, type, tag), tags flipped if asked."""
     out = [(m, parts, flip_label(label) if flip else label)
-           for m, parts, label in cone_slots(ds)]
+           for m, parts, label in slots]
     return tuple(sorted(out, key=lambda t: (t[0], t[1], _LABEL_RANK[t[2]])))
 
 
@@ -232,44 +243,57 @@ def equivalent(a: GroupDataSet, b: GroupDataSet) -> bool:
     if (a.n, a.g0) != (b.n, b.g0):
         return False
     # symmetric slots are all tagged "whole", which the flip keeps
-    mine = _tagged_multiset(a)
-    return mine == _tagged_multiset(b) or mine == _tagged_multiset(b, flip=True)
+    mine, theirs = _tagged_multiset(cone_slots(a)), cone_slots(b)
+    return mine == _tagged_multiset(theirs) or mine == _tagged_multiset(theirs, flip=True)
 
 
 def class_representative(kind: str, n: int, ctype: CycleType, label: str) -> Perm:
     """Least permutation in the named class.
 
     The least permutation of a cycle type lies in the "plus" class by
-    definition; the "minus" representative is read off the group table.
+    definition; the "minus" class is named by its key in the Alt(n) table,
+    whose classes list their least element first.
     """
-    base = least_perm_of_type(ctype)
     if kind == SYMMETRIC or label in ("whole", "plus"):
-        return base
+        return least_perm_of_type(ctype)
     table = group_table(GroupSpec(ALT, n))
-    for cl in table.classes:
-        if cl.key == (ctype.parts, "minus"):
-            return cl.rep
-    raise ValidationFailure("order-mismatch", f"no minus class for type {ctype}")
+    ci = table.class_by_key.get((ctype.parts, "minus"))
+    if ci is None:
+        raise ValidationFailure("order-mismatch", f"no minus class for type {ctype}")
+    return table.classes[ci].rep
+
+
+def canonical_entries(kind: str, n: int, slots: Sequence[tuple]) -> Tuple[Entry, ...]:
+    """Entries of the canonical form of a data set with these cone slots,
+    listed as cone_slots lists them.
+
+    Slots are sorted by (order, type, tag); for the alternating kind the
+    lexicographically smaller of the tag sequence and its global flip is
+    chosen.  Each run of equal slots is one entry, whose representative is
+    the least permutation in its named class: one class_representative call
+    per run.
+    """
+    # the symmetric kind tags every slot "whole", so both variants agree
+    plain, flipped = _tagged_multiset(slots), _tagged_multiset(slots, flip=True)
+    rank = lambda seq: tuple(_LABEL_RANK[lb] for (_, _, lb) in seq)
+    chosen = flipped if rank(flipped) < rank(plain) else plain
+    entries = []
+    for (m, parts, label), mult in run_lengths(chosen):
+        ctype = CycleType(parts, n)
+        entries.append(Entry(class_representative(kind, n, ctype, label), m, ctype, mult))
+    return tuple(entries)
 
 
 def canonical_form(ds: GroupDataSet) -> GroupDataSet:
     """Deterministic representative of the equivalence class.
 
-    Entries are sorted by (order, type, tag); for the alternating kind the
-    lexicographically smaller of the tag sequence and its global flip is
-    chosen, and each representative is replaced by the least permutation in
-    its named class.  Idempotent; equal exactly on equivalent data sets.
+    The data set is shape-checked, then its cone slots go through
+    canonical_entries.  Idempotent; equal exactly on equivalent data sets.
     The output is a comparison and display form: its representatives keep
     the entry classes but need not multiply to the identity.
     """
     validate(ds, structure_only=True)
-    # the symmetric kind tags every slot "whole", so both variants agree
-    plain, flipped = _tagged_multiset(ds), _tagged_multiset(ds, flip=True)
-    rank = lambda seq: tuple(_LABEL_RANK[lb] for (_, _, lb) in seq)
-    chosen = flipped if rank(flipped) < rank(plain) else plain
-    reps = [class_representative(ds.kind, ds.n, CycleType(parts, ds.n), label)
-            for _, parts, label in chosen]
-    return dataset(ds.kind, ds.n, ds.g0, run_lengths(reps))
+    return GroupDataSet(ds.kind, ds.n, ds.g0, canonical_entries(ds.kind, ds.n, cone_slots(ds)))
 
 
 # ---------------------------------------------------------------------------

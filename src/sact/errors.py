@@ -37,11 +37,16 @@ class NotApplicable(SactError):
     """An operation was invoked outside its preconditions."""
 
 
-class NonIntegralError(SactError):
+class InconsistencyError(SactError):
+    """The exact arithmetic contradicted itself: an internal inconsistency,
+    never bad input (the CLI exits 4)."""
+
+
+class NonIntegralError(InconsistencyError):
     """An exact rational that must be an integer is not; input is inconsistent."""
 
 
-class NegativeMultiplicityError(SactError):
+class NegativeMultiplicityError(InconsistencyError):
     """A cone multiplicity came out negative; input is inconsistent."""
 
 

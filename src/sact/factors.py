@@ -18,9 +18,10 @@ and each cone pair is (u^-1 mod t, t) with that multiplicity.
 The count and the factor are class functions.  In groups up to order 5040
 (CLOSURE_ORDER_CAP) the factor is read from the class power map and the
 centralizer orders of the group table, in integer arithmetic, once per
-(data set, class of sigma).  Larger groups have no table built for them
-and run the direct formula on sigma, which fixed_point_count keeps as the
-reference.
+(data set, class of sigma); class_factor serves callers that already hold
+the entry classes and the genus, as the classify rows do.  Larger groups
+have no table built for them and run the direct formula on sigma, which
+fixed_point_count keeps as the reference.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .datasets import GroupDataSet, validate
-from .errors import (GenusMismatch, MembershipError, NegativeMultiplicityError,
-                     NonIntegralError)
+from .errors import (GenusMismatch, InconsistencyError, MembershipError,
+                     NegativeMultiplicityError, NonIntegralError)
 from .groups import (CLOSURE_ORDER_CAP, GroupSpec, GroupTable, are_conjugate,
                      centralizer_order, group_table, require_member, spans)
 from .orbifold import (CyclicDataSet, cyclic_data_set, quotient_genus,
@@ -109,12 +110,22 @@ def _direct_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
 
 @functools.lru_cache(maxsize=4096)
 def _class_factor(ds: GroupDataSet, ci: int) -> CyclicDataSet:
-    """cyclic_factor of the elements of class ci of the group table, from
-    the class power map and centralizer orders."""
-    g = _structural_genus(ds)
+    """cyclic_factor of the elements of class ci of the group table:
+    class_factor of the data set's entry classes, once per (data set, ci)."""
     table = group_table(ds.spec)
-    entries = tuple((table.class_id(e.rep), e.order, e.mult) for e in ds.entries)
-    d = table.classes[ci].rep.order()
+    return class_factor(table, _structural_genus(ds), class_entries(table, ds.entries), ci)
+
+
+def class_entries(table: GroupTable, entries: Sequence) -> tuple:
+    """Data-set entries as (class id, order, mult), the form class_factor reads."""
+    return tuple((table.class_id(e.rep), e.order, e.mult) for e in entries)
+
+
+def class_factor(table: GroupTable, g: int, entries: Sequence, ci: int) -> CyclicDataSet:
+    """The cyclic factor of the elements of class ci on the genus-g surface
+    of a data set whose entries are (class id, order, mult): read off the
+    class power map and centralizer orders, with no permutation."""
+    d = table.class_orders[ci]
     return _unwind(g, d, lambda t, u: _class_fixed_points(
         table, entries, table.power_class(ci, d // t), u, t))
 
@@ -171,7 +182,9 @@ def _unwind(g: int, d: int, count: Callable[[int, int], int]) -> CyclicDataSet:
                 cones.extend([(pow(u, -1, t), t)] * k)
     g0 = quotient_genus(g, d, [t for _, t in cones], _non_integral_quotient)
     factor = cyclic_data_set(d, g0, cones)
-    assert validate_cyclic(factor) == g
+    genus = validate_cyclic(factor)
+    if genus != g:
+        raise InconsistencyError(f"factor {factor} has genus {genus}, not {g}")
     return factor
 
 

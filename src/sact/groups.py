@@ -463,7 +463,9 @@ class GroupTable:
     Elements are listed in lexicographic order of their image tuples.  Each
     class is built as the orbit of its least element under conjugation by
     the standard generators, and keyed once, from that element; classes are
-    sorted by key.  Class lookups go by image tuple.
+    sorted by key.  Class lookups go by image tuple, or by key
+    (`class_by_key`): a (cycle type, tag) names its class, whose first
+    element is the least of the class.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -474,6 +476,7 @@ class GroupTable:
         self.identity = Perm.identity(spec.degree)
         self.elements = tuple(map(Perm._trusted, self._element_images()))
         self.classes, self._class_of = self._build_classes()
+        self.class_by_key = {cl.key: ci for ci, cl in enumerate(self.classes)}
         self.class_orders = tuple(cl.rep.order() for cl in self.classes)
         self.classes_by_order = {}
         for ci, m in enumerate(self.class_orders):

@@ -57,8 +57,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
                        handle_solutions, validate)
-from .errors import (BudgetExhausted, NotApplicable, ParseError,
-                     PeriodNotRealizable, ValidationFailure)
+from .errors import (BudgetExhausted, InconsistencyError, NotApplicable,
+                     ParseError, PeriodNotRealizable, ValidationFailure)
 from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, group_table,
                      spans)
 from .orbifold import Signature, enumerate_signatures, run_lengths
@@ -101,12 +101,22 @@ class GeneratingVector:
     handles: Tuple[Tuple[Perm, Perm], ...]
 
     def long_relation_value(self) -> Perm:
-        p = Perm.identity(self.spec.degree)
-        for s in self.elliptic:
-            p = p * s
+        identity = Perm.identity(self.spec.degree)
+        word = list(self.elliptic)
         for a, b in self.handles:
-            p = p * (a * b * a.inverse() * b.inverse())
-        return p
+            # [a, b] is trivial when a or b is, as in the identity pairs
+            # that pad the handles at g0 > 2
+            if identity not in (a, b):
+                word += (a, b, a.inverse(), b.inverse())
+        # the product applies its last factor first; following each point
+        # through the word builds no intermediate product
+        word = [p.images for p in reversed(word)]
+        images = []
+        for x in identity.images:
+            for at in word:
+                x = at[x - 1]
+            images.append(x)
+        return Perm._trusted(tuple(images))
 
     def all_images(self) -> list:
         out = list(self.elliptic)
@@ -353,8 +363,15 @@ def materialize_vector(ds: GroupDataSet) -> GeneratingVector:
         if handles is None:
             raise NotApplicable("no handle images close the relation")
     # keep the stored entry order: the product relation depends on it
-    vec = GeneratingVector(spec, sig, tuple(reps), handles)
-    assert vec.long_relation_value().is_identity()
+    return checked_vector(GeneratingVector(spec, sig, tuple(reps), handles))
+
+
+def checked_vector(vec: GeneratingVector) -> GeneratingVector:
+    """vec, once it is seen to close the long relation.  Every vector the
+    searches build does, so a failure is an internal inconsistency."""
+    if not vec.long_relation_value().is_identity():
+        raise InconsistencyError(f"vector {', '.join(map(str, vec.all_images()))} "
+                                 "does not close the long relation")
     return vec
 
 

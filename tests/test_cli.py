@@ -11,6 +11,7 @@ import pytest
 from sact import cache as result_cache
 from sact import cli
 from sact.cli import CACHE_SCHEMA, _emit, main
+from sact.perm import Perm
 
 
 def run(capsys, *argv):
@@ -138,6 +139,50 @@ def test_classify_frontier_goldens(capsys, monkeypatch, genus, digest):
                        "--genus", str(genus))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_classify_g121_golden(capsys, monkeypatch):
+    """First 16 hex digits of the stdout sha256 at g = 121 (652 rows, about
+    1 s).  A regression guard recorded from the memoized search, not an
+    independent proof: no second oracle has checked it (ROADMAP item 1)."""
+    monkeypatch.delenv("SACT_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, "classify", "--all", "--format", "json", "--genus", "121")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "cfb32c9d845f16e0"
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    """A reader that stops after one line, as `| head -1` does.  The 130 kB
+    of output outgrow the pipe's buffer, so writing meets the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("SACT_CACHE_DIR", None)
+    proc = subprocess.Popen([sys.executable, "-m", "sact.cli", "classify", "--all",
+                             "--genus", "121", "--format", "json"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    # the little stderr a failure writes fits in its pipe, so waiting first
+    # cannot block the child
+    code = proc.wait(timeout=120)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err
+    assert (code, err) == (cli.EXIT_PIPE, "")
+
+
+@pytest.mark.parametrize("target,attr,replacement,message", [
+    # the genus check of every cyclic factor (factors._unwind)
+    ("sact.factors", "validate_cyclic", lambda d: -1, "factor (3,"),
+    # the long-relation check of each witness vector
+    ("sact.vectors.GeneratingVector", "long_relation_value",
+     lambda self: Perm.from_cycles([(1, 2, 3)], self.spec.degree), "vector "),
+])
+def test_internal_checks_exit_4(capsys, monkeypatch, target, attr, replacement, message):
+    monkeypatch.delenv("SACT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(f"{target}.{attr}", replacement)
+    code, out, err = run(capsys, "classify", "--genus", "10", "--group", "A5")
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err.startswith("internal inconsistency: " + message)
 
 
 def test_weakgen_yes_and_genus_mismatch(capsys):

@@ -2,14 +2,15 @@ import math
 
 import pytest
 
+import sact.factors
 from golden import (DA2_A, DODECAHEDRAL_A, GENUS10_ROWS, GENUS11_ROWS,
                     ICOSAHEDRAL_A, ICOSAHEDRAL_LIFT_S, ICOSAHEDRAL_LIFT_S2,
                     POLYHEDRAL_FACTORS, POLYHEDRAL_FACTORS_S, CUBIC_S,
                     OCTAHEDRAL_S, OCTAHEDRAL_S2, TETRAHEDRAL_A)
 from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
-from sact.errors import (GenusMismatch, MembershipError, NonIntegralError,
-                         SactError)
+from sact.errors import (GenusMismatch, InconsistencyError, MembershipError,
+                         NonIntegralError, SactError)
 from sact.factors import (_class_factor, _class_fixed_points, _direct_factor,
                           cyclic_factor, fixed_point_count,
                           is_hyperelliptic, is_irreducible,
@@ -367,3 +368,14 @@ def test_factor_above_the_closure_cap_builds_no_table(monkeypatch):
         "(8,0;[(1 2),2;2],[(1 2 3 4 5 6 7),7;7],[(1 2 3 4 5 6 7 8),8;8])", SYMMETRIC)
     with pytest.raises(NonIntegralError, match=r"multiplicity 21/2 at \(u=1, t=2\)"):
         cyclic_factor(bad, parse_perm("(1 2 3 4 5 6 7 8)", 8))
+
+
+def test_factor_genus_check_fires(monkeypatch):
+    """Every factor is re-validated against the surface genus; a factor of
+    another genus is an internal inconsistency, raised as an error rather
+    than an assert."""
+    monkeypatch.setattr(sact.factors, "validate_cyclic", lambda d: validate_cyclic(d) + 1)
+    _class_factor.cache_clear()
+    with pytest.raises(InconsistencyError,
+                       match=r"factor \(5,3;\(1,5\)\^\[2\],\(4,5\)\^\[2\]\) has genus 20, not 19"):
+        cyclic_factor(icosa(), parse_perm("(1 2 3 4 5)", 5))

@@ -6,10 +6,11 @@ import pytest
 
 from golden import GENUS10_ROWS, GENUS11_ROWS, TETRAHEDRAL_A
 import sact.vectors
-from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
-                           equivalent, handle_solutions, parse_dataset,
+from sact.datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_form,
+                           dataset, equivalent, handle_solutions, parse_dataset,
                            validate)
-from sact.errors import BudgetExhausted, PeriodNotRealizable, ValidationFailure
+from sact.errors import (BudgetExhausted, InconsistencyError, PeriodNotRealizable,
+                         ValidationFailure)
 from sact.groups import (GroupTable, alt, alt_c2, group_table, subgroup_order,
                          sym)
 from sact.orbifold import Signature, enumerate_signatures, signature
@@ -228,6 +229,36 @@ def test_materialize_and_variants():
     for v in several:
         assert validate_vector(v)
         assert equivalent(dataset_from_vector(v), ds)
+
+
+def test_materialize_vector_checks_the_long_relation():
+    """A stored handle pair that does not close the relation is an internal
+    inconsistency, raised as an error rather than an assert."""
+    octahedral = parse_dataset("(4,1;[(1 2)(3 4),2;2,2]^[2])", ALTERNATING)
+    closing = GroupDataSet(octahedral.kind, 4, 1, octahedral.entries,
+                           (Perm.identity(4), Perm.identity(4)))
+    # it closes the relation without generating A4: only the relation is checked
+    assert materialize_vector(closing).long_relation_value().is_identity()
+    a, b = Perm.from_cycles([(1, 2, 3)], 4), Perm.from_cycles([(1, 2), (3, 4)], 4)
+    broken = GroupDataSet(octahedral.kind, 4, 1, octahedral.entries, (a, b))
+    with pytest.raises(InconsistencyError, match="does not close the long relation"):
+        materialize_vector(broken)
+
+
+def test_long_relation_value_is_the_product_of_the_word():
+    """Each point followed through the word agrees with Perm products,
+    identity handle pairs included."""
+    table = group_table(sym(4))
+    elems = table.elements
+    for k in range(0, len(elems), 7):
+        s = (elems[k], elems[(5 * k + 3) % 24], elems[(7 * k + 1) % 24])
+        handles = ((elems[(3 * k) % 24], elems[(11 * k + 2) % 24]),
+                   (Perm.identity(4), elems[k]))
+        vec = GeneratingVector(sym(4), signature(1, []), s, handles)
+        want = s[0] * s[1] * s[2]
+        a, b = handles[0]
+        want = want * (a * b * a.inverse() * b.inverse())
+        assert vec.long_relation_value() == want
 
 
 def test_realizability_is_arrangement_independent():
