@@ -174,9 +174,10 @@ def classify_group_rows(family: str, n: int, genus: int,
                         budget_nodes, budget_seconds) -> dict:
     """Rows for one group; module-level so worker processes can run it.
 
-    A Sym/Alt row depends only on the class tuple of its witness vector:
-    the canonical form comes from the classes' slot facts, and both
-    standard factors from the canonical entry classes at the classify genus.
+    A Sym/Alt row depends only on the weak-class key, the class ids of its
+    witness up to order and the split-class flip: the canonical form comes
+    from the classes' slot facts, and both standard factors from the
+    canonical entry classes at the classify genus.
     """
     spec = GroupSpec(family, n)
     budget = SearchBudget(budget_nodes, budget_seconds)
@@ -188,7 +189,7 @@ def classify_group_rows(family: str, n: int, genus: int,
         elliptic = checked_vector(item.vector).elliptic
         if item.ds is not None:
             kind = item.ds.kind
-            slots = class_slots(table, map(table.class_id, elliptic))
+            slots = class_slots(table, item.key)
             canon = GroupDataSet(kind, n, item.sig.g0, canonical_entries(kind, n, slots))
             entries = class_entries(table, canon.entries)
             f_sigma, f_tau = (class_factor(table, genus, entries, ci) for ci in standard)

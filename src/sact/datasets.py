@@ -6,7 +6,9 @@ possibly with multiplicities.  Validation checks the defining conditions
 (genus integrality, product relation, generation, parity, handle witnesses);
 equivalence matches entries by cycle type, with the split-class dichotomy for
 the alternating kind: over entries whose Sym-class splits in Alt, either all
-matched pairs are Alt-conjugate or none are.
+matched pairs are Alt-conjugate or none are.  That is the global split-class
+flip, conjugation in Sym(n), which is all of Aut(G) except at n = 6: the
+outer automorphisms of Sym(6) and Alt(6) are not applied.
 
 Text grammar: ``(n,g0;[(1 2)(3 4),2;2,2]^[2],[(1 2 3 4 5),5;5],...)`` with
 ``-`` for an empty entry list.
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 from .errors import KindMismatch, ParseError, ValidationFailure
 from .groups import (ALT, SYM, GroupSpec, GroupTable, commutator_witnesses,
                      flip_label, generates, group_table, spans, split_label)
-from .orbifold import Signature, rh_genus, run_lengths
+from .orbifold import Signature, format_runs, parse_runs, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
 ALTERNATING = "A"
@@ -227,24 +229,26 @@ def class_slots(table: GroupTable, class_ids: Iterable[int]) -> tuple:
     return tuple(out)
 
 
-def _tagged_multiset(slots: Sequence[tuple], flip: bool = False) -> tuple:
-    """The cone slots sorted by (order, type, tag), tags flipped if asked."""
-    out = [(m, parts, flip_label(label) if flip else label)
-           for m, parts, label in slots]
-    return tuple(sorted(out, key=lambda t: (t[0], t[1], _LABEL_RANK[t[2]])))
+def _canonical_key(slots: Sequence[tuple]) -> tuple:
+    """The slots sorted by (order, type, tag), as they are or with every tag
+    flipped, whichever tag sequence is less (whole < plus < minus): equal
+    exactly on slot multisets related by the global split-class flip.  The
+    symmetric kind tags every slot "whole", which the flip keeps."""
+    rank = lambda slot: (slot[0], slot[1], _LABEL_RANK[slot[2]])
+    plain = sorted(slots, key=rank)
+    flipped = sorted([(m, parts, flip_label(tag)) for m, parts, tag in slots], key=rank)
+    # both sort their (order, type) pairs alike, so ties keep plain
+    return tuple(min(plain, flipped, key=lambda seq: list(map(rank, seq))))
 
 
 def equivalent(a: GroupDataSet, b: GroupDataSet) -> bool:
     """Equivalence of data sets: cycle types match under some matching; for
     the alternating kind the split-class tags must agree entrywise either
-    everywhere or nowhere (a single global flip)."""
+    everywhere or nowhere (a single global flip).  Compares canonical keys."""
     if a.kind != b.kind:
         raise KindMismatch(f"{a.kind} vs {b.kind}")
-    if (a.n, a.g0) != (b.n, b.g0):
-        return False
-    # symmetric slots are all tagged "whole", which the flip keeps
-    mine, theirs = _tagged_multiset(cone_slots(a)), cone_slots(b)
-    return mine == _tagged_multiset(theirs) or mine == _tagged_multiset(theirs, flip=True)
+    return (a.n, a.g0) == (b.n, b.g0) and \
+        _canonical_key(cone_slots(a)) == _canonical_key(cone_slots(b))
 
 
 def class_representative(kind: str, n: int, ctype: CycleType, label: str) -> Perm:
@@ -267,18 +271,12 @@ def canonical_entries(kind: str, n: int, slots: Sequence[tuple]) -> Tuple[Entry,
     """Entries of the canonical form of a data set with these cone slots,
     listed as cone_slots lists them.
 
-    Slots are sorted by (order, type, tag); for the alternating kind the
-    lexicographically smaller of the tag sequence and its global flip is
-    chosen.  Each run of equal slots is one entry, whose representative is
-    the least permutation in its named class: one class_representative call
-    per run.
+    The slots go through _canonical_key.  Each run of equal slots is one
+    entry, whose representative is the least permutation in its named
+    class: one class_representative call per run.
     """
-    # the symmetric kind tags every slot "whole", so both variants agree
-    plain, flipped = _tagged_multiset(slots), _tagged_multiset(slots, flip=True)
-    rank = lambda seq: tuple(_LABEL_RANK[lb] for (_, _, lb) in seq)
-    chosen = flipped if rank(flipped) < rank(plain) else plain
     entries = []
-    for (m, parts, label), mult in run_lengths(chosen):
+    for (m, parts, label), mult in run_lengths(_canonical_key(slots)):
         ctype = CycleType(parts, n)
         entries.append(Entry(class_representative(kind, n, ctype, label), m, ctype, mult))
     return tuple(entries)
@@ -301,45 +299,31 @@ def canonical_form(ds: GroupDataSet) -> GroupDataSet:
 
 
 def format_dataset(ds: GroupDataSet) -> str:
-    if not ds.entries:
-        return f"({ds.n},{ds.g0};-)"
-    parts = []
-    for e in ds.entries:
-        body = f"[{e.rep},{e.order};{','.join(str(k) for k in e.ctype.parts)}]"
-        parts.append(body + (f"^[{e.mult}]" if e.mult > 1 else ""))
-    return f"({ds.n},{ds.g0};{','.join(parts)})"
+    return format_runs(ds.n, ds.g0, [
+        (f"[{e.rep},{e.order};{','.join(map(str, e.ctype.parts))}]", e.mult)
+        for e in ds.entries])
 
 
-_ENTRY_RE = re.compile(r"\[([^]]*)\](?:\^\[(\d+)\])?")
+_ENTRY_RE = re.compile(r"\[([^]]*)\]")
 
 
 def parse_dataset(text: str, kind: str) -> GroupDataSet:
     """Parse the bracketed entry grammar; `kind` is ALTERNATING or SYMMETRIC."""
     if kind not in (ALTERNATING, SYMMETRIC):
         raise ParseError(f"unknown data set kind {kind!r}")
-    m = re.fullmatch(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*;(.*)\)\s*", text)
-    if m is None:
-        raise ParseError(f"bad data set syntax: {text!r}")
-    n, g0, body = int(m.group(1)), int(m.group(2)), m.group(3).strip()
+    n, g0, runs = parse_runs(text, _ENTRY_RE, "data set", "entry", " between entries")
     entries = []
-    if body != "-":
-        pos = 0
-        while pos < len(body):
-            em = _ENTRY_RE.match(body, pos)
-            if em is None:
-                raise ParseError(f"bad entry list at {body[pos:]!r}")
-            inner, mult = em.group(1), int(em.group(2) or 1)
-            head, _, types = inner.rpartition(";")
-            perm_text, _, order_text = head.rpartition(",")
-            if not head or not perm_text:
-                raise ParseError(f"bad entry {inner!r}")
-            rep = parse_perm(perm_text.strip(), n)
+    for em, mult in runs:
+        inner = em.group(1)
+        head, _, types = inner.rpartition(";")
+        perm_text, _, order_text = head.rpartition(",")
+        if not head or not perm_text:
+            raise ParseError(f"bad entry {inner!r}")
+        rep = parse_perm(perm_text.strip(), n)
+        try:
             declared_order = int(order_text)
             declared_type = tuple(sorted(int(k) for k in types.split(",") if k.strip()))
-            entries.append(Entry(rep, declared_order, CycleType(declared_type, n), mult))
-            pos = em.end()
-            if pos < len(body):
-                if body[pos] != ",":
-                    raise ParseError(f"expected ',' between entries at {body[pos:]!r}")
-                pos += 1
+        except ValueError:
+            raise ParseError(f"bad entry {inner!r}") from None
+        entries.append(Entry(rep, declared_order, CycleType(declared_type, n), mult))
     return GroupDataSet(kind, n, g0, tuple(entries))

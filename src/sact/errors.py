@@ -64,11 +64,4 @@ class ValidationFailure(SactError):
 
 
 class BudgetExhausted(SactError):
-    """A search hit its node or wall-clock ceiling.
-
-    `partial` holds whatever results were collected before the ceiling.
-    """
-
-    def __init__(self, message: str = "search budget exhausted", partial=None):
-        self.partial = partial
-        super().__init__(message)
+    """A search hit its node or wall-clock ceiling."""

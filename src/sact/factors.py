@@ -40,7 +40,7 @@ from .groups import (CLOSURE_ORDER_CAP, GroupSpec, GroupTable, are_conjugate,
 from .orbifold import (CyclicDataSet, cyclic_data_set, quotient_genus,
                        validate_cyclic)
 from .perm import Perm
-from .vectors import SearchBudget, WeakClassList, enumerate_weak_classes
+from .vectors import SearchBudget, enumerate_weak_classes
 
 
 def fixed_point_count(ds: GroupDataSet, x: Perm, u: int, m: int) -> int:
@@ -210,8 +210,7 @@ class GenerationWitness:
 
 
 def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
-                     budget: Optional[SearchBudget] = None,
-                     classes: Optional[WeakClassList] = None):
+                     budget: Optional[SearchBudget] = None):
     """A witness (data set, sigma, tau) with the prescribed cyclic factors and
     <sigma, tau> the whole group, or None after a complete sweep.
 
@@ -224,10 +223,8 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
     orders = spec.element_orders()
     if d_f.degree not in orders or d_g.degree not in orders:
         return None
-    if classes is None:
-        classes = enumerate_weak_classes(spec, genus_f, budget, raise_on_budget=True)
     table = group_table(spec)
-    for item in classes.items:
+    for item in enumerate_weak_classes(spec, genus_f, budget, raise_on_budget=True).items:
         ds = item.ds
         sigma_classes = [cl for cl in table.classes
                          if cl.rep.order() == d_f.degree
@@ -304,16 +301,13 @@ class ObstructionReport:
 
 
 def obstruction_report(spec: GroupSpec, g: int,
-                       budget: Optional[SearchBudget] = None,
-                       classes: Optional[WeakClassList] = None) -> ObstructionReport:
+                       budget: Optional[SearchBudget] = None) -> ObstructionReport:
     """Sweep every element class of every weak class at genus g, flagging
     irreducible factors (is_irreducible) and the hyperelliptic involution
     factor (is_hyperelliptic)."""
-    if classes is None:
-        classes = enumerate_weak_classes(spec, g, budget, raise_on_budget=True)
     table = group_table(spec)
     report = ObstructionReport(spec, g)
-    for item in classes.items:
+    for item in enumerate_weak_classes(spec, g, budget, raise_on_budget=True).items:
         report.classes_swept += 1
         rows = []
         for cl in table.classes:

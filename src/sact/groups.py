@@ -465,7 +465,10 @@ class GroupTable:
     the standard generators, and keyed once, from that element; classes are
     sorted by key.  Class lookups go by image tuple, or by key
     (`class_by_key`): a (cycle type, tag) names its class, whose first
-    element is the least of the class.
+    element is the least of the class.  `flip` is the global split-class
+    flip on class ids: the class of each representative conjugated by
+    (1 2).  That is the identity on Sym(n); on Alt(n) and Alt(n) x C_2 it
+    swaps the two halves of each split class and keeps the C_2 part.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -477,6 +480,8 @@ class GroupTable:
         self.elements = tuple(map(Perm._trusted, self._element_images()))
         self.classes, self._class_of = self._build_classes()
         self.class_by_key = {cl.key: ci for ci, cl in enumerate(self.classes)}
+        t = Perm.from_cycles([(1, 2)], spec.degree)
+        self.flip = tuple(self._class_of[(t * cl.rep * t).images] for cl in self.classes)
         self.class_orders = tuple(cl.rep.order() for cl in self.classes)
         self.classes_by_order = {}
         for ci, m in enumerate(self.class_orders):

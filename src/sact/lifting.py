@@ -127,13 +127,11 @@ def index2_restrict(v: GeneratingVector) -> Restriction:
     return Restriction(alt_ds, InvolutionDescent(d, perm), g)
 
 
-def psi_map(ds: GroupDataSet, vector: Optional[GeneratingVector] = None) -> Restriction:
+def psi_map(ds: GroupDataSet) -> Restriction:
     """Descent of a symmetric data set: materialize a vector and restrict."""
     if ds.kind != SYMMETRIC:
         raise NotIndexTwo("psi_map descends symmetric data sets")
-    ds = resolved_representative(ds)
-    vec = vector if vector is not None else materialize_vector(ds)
-    return index2_restrict(vec)
+    return index2_restrict(materialize_vector(resolved_representative(ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +312,7 @@ class _ExtensionSearches(SearchBudget):
     searches give; a search that runs out of budget is not kept and runs
     again when next asked.  A candidate's descent is computed when a match
     loop first reaches it, as it would be without sharing.  Each data set
-    asked about is resolved and validated once, in resolve.
+    asked about is resolved once, in resolve.
     """
 
     # (spec, genus, signature) -> (weak classes, their descents so far)
@@ -335,7 +333,7 @@ class _ExtensionSearches(SearchBudget):
             return self.resolved[ds]
         except KeyError:
             rep = resolved_representative(ds)
-            pair = (rep, validate(rep))
+            pair = (rep, validate(rep, structure_only=True))
             self.resolved[ds] = self.resolved[rep] = pair
             return pair
 
@@ -352,10 +350,7 @@ class _ExtensionSearches(SearchBudget):
         items, descents = self.found[key]
         for i, item in enumerate(items):
             if i == len(descents):
-                if spec.family == SYM:
-                    descents.append(psi_map(item.ds, vector=item.vector))
-                else:
-                    descents.append(index2_restrict(item.vector))
+                descents.append(index2_restrict(item.vector))
             yield item, descents[i]
 
 

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationFailure
 from .groups import GroupSpec
@@ -156,9 +156,10 @@ class CyclicDataSet:
         return Signature(self.g0, tuple(sorted(m for _, m in self.cones)))
 
     def __str__(self) -> str:
-        if not self.cones:
+        if not self.cones:  # most factors a sweep prints: skip the run scan
             return f"({self.degree},{self.g0};-)"
-        return f"({self.degree},{self.g0};{_format_cones(self.cones)})"
+        return format_runs(self.degree, self.g0,
+                           [(f"({c},{m})", k) for (c, m), k in run_lengths(self.cones)])
 
 
 def cyclic_data_set(degree: int, g0: int, cones: Sequence[Tuple[int, int]]) -> CyclicDataSet:
@@ -203,33 +204,50 @@ def run_lengths(items: Sequence) -> list:
     return [(item, len(list(run))) for item, run in itertools.groupby(items)]
 
 
-def _format_cones(cones) -> str:
-    return ",".join(f"({c},{m})" + (f"^[{mult}]" if mult > 1 else "")
-                    for (c, m), mult in run_lengths(cones))
+def format_runs(n: int, g0: int, runs: Iterable[Tuple[str, int]]) -> str:
+    """``(n,g0;item^[k],...)`` from (item text, k) pairs: ``^[k]`` only for
+    k > 1, and ``-`` for an empty list."""
+    body = ",".join([text + f"^[{k}]" if k > 1 else text for text, k in runs])
+    return f"({n},{g0};{body or '-'})"
 
 
-_CONE_RE = re.compile(r"\((\d+),(\d+)\)(?:\^\[(\d+)\])?")
+_HEADER_RE = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*;(.*)\)\s*")
+_MULT_RE = re.compile(r"\^\[(\d+)\]")
+
+
+def parse_runs(text: str, item: re.Pattern, what: str, unit: str,
+               gap: str = "") -> tuple:
+    """(n, g0, runs) from ``(n,g0;item^[k],...)``, the inverse of
+    format_runs.  runs yields (item match, k) lazily, so an error a caller
+    finds in an item comes before any scan error after it.  The messages
+    name a bad `what` syntax, a bad `unit` list and, with `gap`, a missing
+    comma."""
+    m = _HEADER_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"bad {what} syntax: {text!r}")
+    body = m.group(3).strip()
+
+    def runs():
+        pos = 0
+        while body != "-" and pos < len(body):
+            im = item.match(body, pos)
+            if im is None:
+                raise ParseError(f"bad {unit} list at {body[pos:]!r}")
+            km = _MULT_RE.match(body, im.end())
+            yield im, int(km.group(1)) if km else 1
+            pos = km.end() if km else im.end()
+            if pos < len(body):
+                if body[pos] != ",":
+                    raise ParseError(f"expected ','{gap} at {body[pos:]!r}")
+                pos += 1
+    return int(m.group(1)), int(m.group(2)), runs()
+
+
+_CONE_RE = re.compile(r"\((\d+),(\d+)\)")
 
 
 def parse_cyclic(text: str) -> CyclicDataSet:
     """Parse e.g. ``(5,3;(1,5)^[2],(4,5)^[2])`` or ``(3,7;-)``."""
-    m = re.fullmatch(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*;(.*)\)\s*", text)
-    if m is None:
-        raise ParseError(f"bad cyclic data set syntax: {text!r}")
-    degree, g0, body = int(m.group(1)), int(m.group(2)), m.group(3).strip()
-    cones = []
-    if body != "-":
-        pos = 0
-        while pos < len(body):
-            cm = _CONE_RE.match(body, pos)
-            if cm is None:
-                raise ParseError(f"bad cone list at {body[pos:]!r}")
-            c, order = int(cm.group(1)), int(cm.group(2))
-            mult = int(cm.group(3) or 1)
-            cones.extend([(c, order)] * mult)
-            pos = cm.end()
-            if pos < len(body):
-                if body[pos] != ",":
-                    raise ParseError(f"expected ',' at {body[pos:]!r}")
-                pos += 1
+    degree, g0, runs = parse_runs(text, _CONE_RE, "cyclic data set", "cone")
+    cones = [(int(cm.group(1)), int(cm.group(2))) for cm, k in runs for _ in range(k)]
     return cyclic_data_set(degree, g0, cones)

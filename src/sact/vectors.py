@@ -43,6 +43,12 @@ pruned position, is the one found.  Pruned choices cost no node.  At genus
 those searches, and the full listings (enumerate_vectors,
 vectors_for_dataset), are not pruned.
 
+Weak classes are keyed by class multisets.  Two multisets are one weak
+class when the global split-class flip (GroupTable.flip), conjugation by
+(1 2) in Sym(n), carries one onto the other.  For n != 6 that is all of
+Aut(G); at n = 6 the outer automorphisms of Sym(6) and Alt(6) relate
+further pairs, which stay separate (pinned in tests/test_vectors.py).
+
 Everything is deterministic: classes, elements, and emitted vectors follow a
 fixed sort order.
 """
@@ -59,8 +65,7 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
                        handle_solutions, validate)
 from .errors import (BudgetExhausted, InconsistencyError, NotApplicable,
                      ParseError, PeriodNotRealizable, ValidationFailure)
-from .groups import (ALT, ALT_C2, SYM, GroupSpec, flip_label, group_table,
-                     spans)
+from .groups import ALT, ALT_C2, SYM, GroupSpec, group_table, spans
 from .orbifold import Signature, enumerate_signatures, run_lengths
 from .perm import Perm
 
@@ -383,8 +388,10 @@ def checked_vector(vec: GeneratingVector) -> GeneratingVector:
 class WeakClass:
     """One weak conjugacy class, with a witness vector.
 
-    `ds` is filled for Sym/Alt; the A_n x C_2 family is reported at the
-    vector level (`ds` is None) since its classes have no data-set form here.
+    `key` is the class ids of the witness's elliptics, sorted, or their
+    sorted flip when that is less (_canonical_key).  `ds` is filled for
+    Sym/Alt; the A_n x C_2 family is reported at the vector level (`ds` is
+    None) since its classes have no data-set form here.
     """
 
     spec: GroupSpec
@@ -394,7 +401,10 @@ class WeakClass:
     ds: Optional[GroupDataSet]
 
     def sort_token(self) -> tuple:
-        body = str(self.ds) if self.ds is not None else repr(self.key)
+        # vector items sort by repr of their class keys: lift reports the
+        # first matching Alt(n) x C_2 witness, so this order is output
+        body = str(self.ds) if self.ds is not None else repr(
+            tuple(group_table(self.spec).classes[i].key for i in self.key))
         return (self.sig.g0, self.sig.periods, body)
 
 
@@ -412,21 +422,11 @@ class WeakClassList:
         return [str(s) for s in self.unfinished]
 
 
-def _multiset_key(table, ids: Sequence[int]) -> tuple:
-    return tuple(sorted(table.classes[i].key for i in ids))
-
-
-def _flip_key(spec: GroupSpec, key: tuple) -> tuple:
-    if spec.family == SYM:
-        return key
-    if spec.family == ALT:
-        return tuple(sorted((parts, flip_label(label)) for parts, label in key))
-    return tuple(sorted((parts, flip_label(label), w) for parts, label, w in key))
-
-
-def _canonical_key(spec: GroupSpec, table, ids: Sequence[int]) -> tuple:
-    key = _multiset_key(table, ids)
-    return min(key, _flip_key(spec, key))
+def _canonical_key(table, ids: Sequence[int]) -> tuple:
+    """The weak-class key of a class tuple: the lesser of its sorted class
+    ids and their sorted image under the split-class flip."""
+    flip = table.flip
+    return min(tuple(sorted(ids)), tuple(sorted([flip[i] for i in ids])))
 
 
 def dataset_from_vector(vec: GeneratingVector) -> GroupDataSet:
@@ -443,8 +443,10 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
     """All weak conjugacy classes of spec-actions at genus g.
 
     For Sym/Alt each class is returned as a GroupDataSet; class multisets
-    related by the global split-class flip are identified.  For A_n x C_2
-    the classes are vector orbits reduced by the same torsion-level key.
+    related by the global split-class flip, conjugation in Sym(n), are
+    identified.  That is all of Aut(G) except at n = 6, whose outer
+    automorphisms are not applied.  For A_n x C_2 the classes are vector
+    orbits reduced by the same key.
     """
     table = group_table(spec)
     clock = _Clock(budget)
@@ -457,7 +459,7 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
                 continue
             seen = set()
             for ids in _class_tuples(table, sig.periods):
-                key = _canonical_key(spec, table, ids)
+                key = _canonical_key(table, ids)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -467,11 +469,10 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
                     continue
                 ds = dataset_from_vector(vec) if spec.family in (ALT, SYM) else None
                 result.items.append(WeakClass(spec, sig, key, vec, ds))
-    except BudgetExhausted as exc:
+    except BudgetExhausted:
+        if raise_on_budget:
+            raise
         result.complete = False
         result.unfinished = sigs[i:]
-        if raise_on_budget:
-            exc.partial = result
-            raise
     result.items.sort(key=WeakClass.sort_token)
     return result

@@ -223,7 +223,7 @@ def test_criterion_6_property_suites():
         for i, vec in enumerate(vectors_for_dataset(dset)):
             if i >= 3:
                 break
-            restrictions.append(psi_map(dset, vector=vec))
+            restrictions.append(index2_restrict(vec))
         assert len(restrictions) == 3
         for other in restrictions[1:]:
             loose, strict = match_descent(restrictions[0].alt_ds,

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -272,6 +273,9 @@ def test_parse_error_exit_code(capsys):
     ["obstructions", "--group", "AxC24", "--genus", "7"],
     ["weakgen", "--group", "AxC24", "--df", "(2,0;(1,2)^[16])",
      "--dg", "(2,0;(1,2)^[16])"],
+    # an entry whose declared order or cycle type is not a number
+    ["factor", "--group", "A5", "--standard", "--ds", "(5,0;[(1 2)(3 4),x;2,2])"],
+    ["factor", "--group", "A5", "--standard", "--ds", "(5,0;[(1 2)(3 4),2;2,y])"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -279,6 +283,30 @@ def test_input_errors_exit_2(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def readme_commands():
+    """The `sact ...` lines of the README's "Command line" block, as argv
+    lists without the program name."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("sact ")]
+
+
+def test_readme_examples_exit_0(capsys, tmp_path):
+    """Every command the README shows runs and exits 0; `cache info` reads a
+    fresh cache directory, not the one the README names."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "classify", "weakgen", "factor", "lift", "free", "obstructions", "cache"}
+    for argv in commands:
+        if "--cache-dir" in argv:
+            argv[argv.index("--cache-dir") + 1] = str(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_env_override(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import sact.groups
 from sact.errors import MembershipError
 from sact.groups import (ALT, SYM, GroupSpec, _schreier_sims_order, alt, alt_c2,
                          are_conjugate, centralizer_order, commutator_witness,
-                         conjugator_in_sym, embed_alt_c2, generates,
+                         conjugator_in_sym, embed_alt_c2, flip_label, generates,
                          group_table, parse_group, spans, split_alt_c2,
                          split_label, subgroup_order, sym)
 from sact.perm import CycleType, Perm, parse_perm
@@ -349,6 +349,25 @@ def test_orbit_table_matches_the_element_keyed_build(spec):
         for x in cl.elements:
             assert x is shared[x.images]
             assert table.class_id(x) == ci
+
+
+FLIP_SPECS = ([sym(n) for n in range(3, 9)] + [alt(n) for n in range(4, 9)]
+              + [alt_c2(n) for n in range(4, 9)])
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS, ids=str)
+def test_flip_is_the_label_flip(spec):
+    """GroupTable.flip is an involution on class ids, and it swaps the tags
+    "plus" and "minus" of each key, keeping the cycle type and C_2 part: on
+    Sym(n), whose keys carry no tag, it is the identity."""
+    table = group_table(spec)
+    flip = table.flip
+    assert len(flip) == len(table.classes)
+    assert all(flip[flip[ci]] == ci for ci in range(len(flip)))
+    for ci, cl in enumerate(table.classes):
+        key = cl.key if len(cl.key) == 1 else \
+            cl.key[:1] + (flip_label(cl.key[1]),) + cl.key[2:]
+        assert flip[ci] == table.class_by_key[key], (spec.name, cl.key)
 
 
 @pytest.mark.parametrize("spec", [sym(5), alt(6), alt_c2(5)], ids=str)

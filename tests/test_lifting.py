@@ -17,7 +17,7 @@ from sact.lifting import (ALT_TIMES_C2, NOT_LIFTABLE, UNDETERMINED, WLS,
                           InvolutionDescent, Restriction, _ExtensionSearches,
                           _normalize_perm, admissible_permutations,
                           decide_lift, free_action_analysis, index2_restrict,
-                          involution_classes_on, match_descent, psi_map,
+                          involution_classes_on, match_descent,
                           quotient_signature, self_normalizing)
 from sact.orbifold import parse_cyclic, signature
 from sact.perm import Perm, parse_perm
@@ -82,7 +82,7 @@ def test_psi_image_is_vector_independent():
         for i, vec in enumerate(vectors_for_dataset(ds)):
             if i >= 3:
                 break
-            restrictions.append(psi_map(ds, vector=vec))
+            restrictions.append(index2_restrict(vec))
         assert len(restrictions) == 3, (name, text)
         base = restrictions[0]
         for other in restrictions[1:]:
