@@ -281,8 +281,8 @@ def cmd_weakgen(args) -> int:
             "command": "weakgen", "group": spec.name, "verdict": "yes",
             "data_set": format_dataset(witness.ds),
             "sigma": str(witness.sigma), "tau": str(witness.tau),
-            "factor_sigma": str(cyclic_factor(witness.ds, witness.sigma)),
-            "factor_tau": str(cyclic_factor(witness.ds, witness.tau)),
+            # weakly_generates picks sigma and tau with exactly these factors
+            "factor_sigma": str(d_f), "factor_tau": str(d_g),
         }
     _emit(args, payload)
     return EXIT_OK

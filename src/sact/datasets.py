@@ -2,13 +2,16 @@
 
 A data set records one weak conjugacy class of a Sym(n)- or Alt(n)-action:
 the quotient genus plus an ordered list of entries [rep, order; cycle type],
-possibly with multiplicities.  Validation checks the defining conditions
-(genus integrality, product relation, generation, parity, handle witnesses);
-equivalence matches entries by cycle type, with the split-class dichotomy for
-the alternating kind: over entries whose Sym-class splits in Alt, either all
-matched pairs are Alt-conjugate or none are.  That is the global split-class
-flip, conjugation in Sym(n), which is all of Aut(G) except at n = 6: the
-outer automorphisms of Sym(6) and Alt(6) are not applied.
+possibly with multiplicities.  A data set is exactly its text: it stores no
+handle images, so equal text means equal data sets, and at g0 >= 1 the
+handle pair is always re-derived (handle_solutions).  Validation checks the
+defining conditions (genus integrality, product relation, generation,
+parity, handle solvability); equivalence matches entries by cycle type,
+with the split-class dichotomy for the alternating kind: over entries whose
+Sym-class splits in Alt, either all matched pairs are Alt-conjugate or none
+are.  That is the global split-class flip, conjugation in Sym(n), which is
+all of Aut(G) except at n = 6: the outer automorphisms of Sym(6) and Alt(6)
+are not applied.
 
 Text grammar: ``(n,g0;[(1 2)(3 4),2;2,2]^[2],[(1 2 3 4 5),5;5],...)`` with
 ``-`` for an empty entry list.
@@ -53,13 +56,12 @@ class GroupDataSet:
     n: int
     g0: int
     entries: Tuple[Entry, ...]
-    witnesses: Optional[Tuple[Perm, Perm]] = None  # handle pair for g0 = 1
 
     @functools.cached_property
     def _hash(self) -> int:
         # the hash the dataclass would compute, once per instance: data sets
         # key the factor memos, and rehashing nests down to every Perm
-        return hash((self.kind, self.n, self.g0, self.entries, self.witnesses))
+        return hash((self.kind, self.n, self.g0, self.entries))
 
     def __hash__(self) -> int:
         return self._hash
@@ -86,8 +88,7 @@ class GroupDataSet:
         return format_dataset(self)
 
 
-def dataset(kind: str, n: int, g0: int, reps_with_mult: Sequence,
-            witnesses=None) -> GroupDataSet:
+def dataset(kind: str, n: int, g0: int, reps_with_mult: Sequence) -> GroupDataSet:
     """Build a data set from (rep, mult) pairs or bare reps."""
     entries = []
     for item in reps_with_mult:
@@ -98,7 +99,7 @@ def dataset(kind: str, n: int, g0: int, reps_with_mult: Sequence,
         else:
             rep, mult = item
             entries.append(make_entry(rep, mult))
-    return GroupDataSet(kind, n, g0, tuple(entries), witnesses)
+    return GroupDataSet(kind, n, g0, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +110,11 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
     """Check every defining condition and return the genus (>= 2).
 
     Raises ValidationFailure tagged genus-integrality / order-mismatch /
-    parity / product / generation / witness.  With structure_only the
-    realizability clauses (product, generation, witnesses) are skipped;
+    parity / product / generation / witness.  A data set is exactly its
+    text, so at g0 >= 1 the handle pair is re-derived, never read: the g0 = 1
+    clause asks handle_solutions for a pair that closes the relation and
+    generates together with the entries.  With structure_only the
+    realizability clauses (product, generation, witness) are skipped;
     canonical forms are shape-checked this way, since their display
     representatives need not multiply to the identity.
     """
@@ -139,17 +143,8 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
         if not generates(spec, reps):
             raise ValidationFailure("generation", "entries do not generate the group")
     elif ds.g0 == 1:
-        pair = ds.witnesses
-        if pair is None:
-            handles = next(handle_solutions(spec, 1, reps, ds.product()), None)
-            if handles is None:
-                raise ValidationFailure("witness", "no handle pair closes the relation")
-            (pair,) = handles
-        w1, w2 = pair
-        if ds.product() != w2 * w1 * w2.inverse() * w1.inverse():
-            raise ValidationFailure("witness", "stored handle pair does not close the relation")
-        if not generates(spec, reps + [w1, w2]):
-            raise ValidationFailure("witness", "entries plus handles do not generate")
+        if next(handle_solutions(spec, 1, reps, ds.product()), None) is None:
+            raise ValidationFailure("witness", "no handle pair closes the relation")
     else:
         if ds.kind == SYMMETRIC and not ds.product().is_even():
             raise ValidationFailure("parity", "entry product is odd with g0 >= 2")

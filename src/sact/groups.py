@@ -430,13 +430,13 @@ def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:
     return subgroup_order(gens, spec.degree, spec.order) == spec.order
 
 
-def generates(spec: GroupSpec, elems: Iterable[Perm], degree_cap: int = DEGREE_CAP) -> bool:
+def generates(spec: GroupSpec, elems: Iterable[Perm]) -> bool:
     """Whether the given elements generate the whole group.  Exact."""
     elems = list(elems)
     for p in elems:
         require_member(spec, p)
-    if spec.degree > degree_cap:
-        raise DegreeCapExceeded(f"degree {spec.degree} above cap {degree_cap}")
+    if spec.degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {spec.degree} above cap {DEGREE_CAP}")
     return spans(spec, elems)
 
 
@@ -486,11 +486,8 @@ class GroupTable:
         self.classes_by_order = {}
         for ci, m in enumerate(self.class_orders):
             self.classes_by_order.setdefault(m, []).append(ci)
-        # the center is trivial in Sym(n), n >= 3, and in Alt(n), n >= 4;
-        # in Alt(n) x C_2 it is generated by the central swap
-        self._center = {self.identity.images}
-        if spec.family == ALT_C2:
-            self._center.add(embed_alt_c2(Perm.identity(spec.n), True).images)
+        # the center: the elements that are classes of their own
+        self._center = {cl.rep.images for cl in self.classes if cl.size == 1}
         self._centralizer_cache = {}
         self._least_second_cache = {}
         self._least_under_cache = {}
@@ -768,7 +765,7 @@ def group_table(spec: GroupSpec) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# commutator witnesses
+# commutator presentations
 
 
 def commutator_witness(spec: GroupSpec, target: Perm) -> Optional[tuple]:

@@ -372,31 +372,24 @@ def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,
     working = InvolutionDescent(inv.d, perm)
     sig = quotient_signature(ds, working)
 
+    # Sym(n) before Alt(n) x C_2; in each, a strict match wins at once,
+    # otherwise the first loose one
+    families = ((SYM, WLS, lambda item: {"witness_symmetric": item.ds}),
+                (ALT_C2, ALT_TIMES_C2, lambda item: {"witness_vector": item.vector}))
     try:
-        best = None
-        for item, restriction in searches.candidates(GroupSpec(SYM, n), g, sig):
-            loose, strict = match_descent(ds, working, restriction)
-            if loose:
-                verdict = LiftVerdict(WLS, ds, inv, witness_symmetric=item.ds,
-                                      strict_class_match=strict,
-                                      normalized_perm=normalized, notes=tuple(notes))
-                if strict:
-                    return verdict
-                best = best or verdict
-        if best is not None:
-            return best
-        for item, restriction in searches.candidates(GroupSpec(ALT_C2, n), g, sig):
-            loose, strict = match_descent(ds, working, restriction)
-            if loose:
-                verdict = LiftVerdict(ALT_TIMES_C2, ds, inv,
-                                      witness_vector=item.vector,
-                                      strict_class_match=strict,
-                                      normalized_perm=normalized, notes=tuple(notes))
-                if strict:
-                    return verdict
-                best = best or verdict
-        if best is not None:
-            return best
+        for family, kind, witness in families:
+            best = None
+            for item, restriction in searches.candidates(GroupSpec(family, n), g, sig):
+                loose, strict = match_descent(ds, working, restriction)
+                if loose:
+                    verdict = LiftVerdict(kind, ds, inv, strict_class_match=strict,
+                                          normalized_perm=normalized, notes=tuple(notes),
+                                          **witness(item))
+                    if strict:
+                        return verdict
+                    best = best or verdict
+            if best is not None:
+                return best
     except BudgetExhausted as exc:
         return LiftVerdict(UNDETERMINED, ds, inv, normalized_perm=normalized,
                            notes=tuple(notes + [str(exc)]))

@@ -65,7 +65,7 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
                        handle_solutions, validate)
 from .errors import (BudgetExhausted, InconsistencyError, NotApplicable,
                      ParseError, PeriodNotRealizable, ValidationFailure)
-from .groups import ALT, ALT_C2, SYM, GroupSpec, group_table, spans
+from .groups import ALT, SYM, GroupSpec, group_table, spans
 from .orbifold import Signature, enumerate_signatures, run_lengths
 from .perm import Perm
 
@@ -147,29 +147,14 @@ def validate_vector(v: GeneratingVector) -> bool:
 
 @functools.lru_cache(maxsize=4096)
 def _feasible_end_ids(table, g0: int) -> frozenset:
-    """Class ids the elliptic product may land in, given the handle budget."""
-    spec = table.spec
+    """Class ids the elliptic product may land in, given the handle budget:
+    the identity, the single commutators, or at g0 >= 2 the derived
+    subgroup, the normal closure of the commutators."""
     if g0 == 0:
         return frozenset({table.identity_class_id()})
     if g0 == 1:
         return table.commutator_class_ids()
-    # g0 >= 2: the product must lie in the derived subgroup
-    if spec.family == SYM:
-        return frozenset(i for i, cl in enumerate(table.classes) if cl.rep.is_even())
-    if spec.family == ALT and spec.n == 4:
-        return frozenset(i for i, cl in enumerate(table.classes)
-                         if cl.rep.order() in (1, 2))
-    if spec.family == ALT_C2:
-        ids = set()
-        for i, cl in enumerate(table.classes):
-            _, _, w = cl.key
-            if w:
-                continue
-            if spec.n == 4 and cl.rep.order() not in (1, 2):
-                continue
-            ids.add(i)
-        return frozenset(ids)
-    return frozenset(range(len(table.classes)))
+    return table.normal_closure(table.commutator_class_ids())
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -350,23 +335,18 @@ def resolved_representative(ds: GroupDataSet) -> GroupDataSet:
         vec = next(vectors_for_dataset(ds), None)
         if vec is None:
             raise
-        resolved = dataset_from_vector(vec)
-        return GroupDataSet(ds.kind, ds.n, ds.g0, resolved.entries,
-                            resolved.witnesses)
+        return dataset_from_vector(vec)
 
 
 def materialize_vector(ds: GroupDataSet) -> GeneratingVector:
-    """One concrete vector for a valid data set, handles included."""
+    """One concrete vector for a valid data set, its handles solved afresh."""
     spec = ds.spec
     reps = ds.expanded()
     periods = tuple(sorted(rep.order() for rep in reps))
     sig = Signature(ds.g0, periods)
-    if ds.g0 == 1 and ds.witnesses:
-        handles = (ds.witnesses,)
-    else:
-        handles = next(handle_solutions(spec, ds.g0, reps, ds.product()), None)
-        if handles is None:
-            raise NotApplicable("no handle images close the relation")
+    handles = next(handle_solutions(spec, ds.g0, reps, ds.product()), None)
+    if handles is None:
+        raise NotApplicable("no handle images close the relation")
     # keep the stored entry order: the product relation depends on it
     return checked_vector(GeneratingVector(spec, sig, tuple(reps), handles))
 
@@ -431,9 +411,7 @@ def _canonical_key(table, ids: Sequence[int]) -> tuple:
 
 def dataset_from_vector(vec: GeneratingVector) -> GroupDataSet:
     kind = ALTERNATING if vec.spec.family == ALT else SYMMETRIC
-    witnesses = vec.handles[0] if vec.sig.g0 == 1 else None
-    return dataset(kind, vec.spec.n, vec.sig.g0, run_lengths(vec.elliptic),
-                   witnesses=witnesses)
+    return dataset(kind, vec.spec.n, vec.sig.g0, run_lengths(vec.elliptic))
 
 
 def enumerate_weak_classes(spec: GroupSpec, g: int,

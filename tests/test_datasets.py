@@ -4,9 +4,9 @@ import pytest
 
 from golden import (CUBIC_A_PRINTED, CUBIC_A_VALID, ICOSAHEDRAL_A,
                     OCTAHEDRAL_A, TETRAHEDRAL_A)
-from sact.datasets import (ALTERNATING, SYMMETRIC, GroupDataSet,
-                           canonical_form, dataset, equivalent, format_dataset,
-                           handle_solutions, parse_dataset, validate)
+from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
+                           equivalent, format_dataset, handle_solutions,
+                           parse_dataset, validate)
 from sact.errors import KindMismatch, ValidationFailure
 from sact.groups import group_table
 from sact.perm import Perm, parse_perm
@@ -183,10 +183,9 @@ def test_text_roundtrip_byte_identical():
 def test_g0_1_witness_clause():
     ds = parse_dataset("(4,1;[(1 2)(3 4),2;2,2]^[3])", ALTERNATING)
     assert validate(ds) == 10
-    stored = GroupDataSet(ds.kind, ds.n, ds.g0, ds.entries,
-                          witnesses=(Perm.identity(4), Perm.identity(4)))
-    with pytest.raises(ValidationFailure) as err:
-        validate(stored)
+    # a known positive: a 3-cycle is no commutator in Alt(4)
+    with pytest.raises(ValidationFailure, match="no handle pair closes") as err:
+        validate(parse_dataset("(4,1;[(1 2 3),3;3])", ALTERNATING))
     assert err.value.condition == "witness"
 
 
@@ -194,18 +193,12 @@ def test_equal_data_sets_hash_equal_and_hash_once(monkeypatch):
     texts = [ICOSAHEDRAL_A, OCTAHEDRAL_A, TETRAHEDRAL_A, CUBIC_A_VALID]
     first = [parse_dataset(t, ALTERNATING) for t in texts]
     again = [parse_dataset(t, ALTERNATING) for t in texts]
-    w1, w2 = handle_pair(first[1])
-    witnessed = GroupDataSet(first[1].kind, first[1].n, first[1].g0, first[1].entries,
-                             witnesses=(w1, w2))
-    rebuilt = GroupDataSet(again[1].kind, again[1].n, again[1].g0, again[1].entries,
-                           witnesses=(Perm(w1.images), Perm(w2.images)))
-    for a, b in list(zip(first, again)) + [(witnessed, rebuilt)]:
+    for a, b in zip(first, again):
         assert a == b and a is not b
         assert hash(a) == hash(b)
         # the value the generated dataclass hash gave, so set orders hold
-        assert hash(a) == hash((a.kind, a.n, a.g0, a.entries, a.witnesses))
-    assert witnessed != first[1]
-    assert len({*first, *again, witnessed, rebuilt}) == len(texts) + 1
+        assert hash(a) == hash((a.kind, a.n, a.g0, a.entries))
+    assert len({*first, *again}) == len(texts)
     # a second lookup does not rehash the entries
     ds = parse_dataset(CUBIC_A_VALID, ALTERNATING)
     hash(ds)

@@ -6,13 +6,13 @@ import pytest
 
 from golden import GENUS10_ROWS, GENUS11_ROWS, TETRAHEDRAL_A
 import sact.vectors
-from sact.datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_form,
+from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form,
                            dataset, equivalent, handle_solutions, parse_dataset,
                            validate)
 from sact.errors import (BudgetExhausted, InconsistencyError, PeriodNotRealizable,
                          ValidationFailure)
-from sact.groups import (GroupTable, alt, alt_c2, flip_label, group_table,
-                         subgroup_order, sym)
+from sact.groups import (GroupTable, alt, alt_c2, embed_alt_c2, flip_label,
+                         group_table, subgroup_order, sym)
 from sact.orbifold import Signature, enumerate_signatures, signature
 from sact.perm import Perm
 from sact.vectors import (GeneratingVector, SearchBudget, _feasible_end_ids,
@@ -243,18 +243,64 @@ def test_materialize_and_variants():
         assert equivalent(dataset_from_vector(v), ds)
 
 
-def test_materialize_vector_checks_the_long_relation():
-    """A stored handle pair that does not close the relation is an internal
+def test_materialize_vector_checks_the_long_relation(monkeypatch):
+    """A handle pair that does not close the relation is an internal
     inconsistency, raised as an error rather than an assert."""
     octahedral = parse_dataset("(4,1;[(1 2)(3 4),2;2,2]^[2])", ALTERNATING)
-    closing = GroupDataSet(octahedral.kind, 4, 1, octahedral.entries,
-                           (Perm.identity(4), Perm.identity(4)))
-    # it closes the relation without generating A4: only the relation is checked
-    assert materialize_vector(closing).long_relation_value().is_identity()
+    assert materialize_vector(octahedral).long_relation_value().is_identity()
+    # the entries multiply to the identity, and [a, b] does not
     a, b = Perm.from_cycles([(1, 2, 3)], 4), Perm.from_cycles([(1, 2), (3, 4)], 4)
-    broken = GroupDataSet(octahedral.kind, 4, 1, octahedral.entries, (a, b))
+    monkeypatch.setattr(sact.vectors, "handle_solutions",
+                        lambda *args: iter([((a, b),)]))
     with pytest.raises(InconsistencyError, match="does not close the long relation"):
-        materialize_vector(broken)
+        materialize_vector(octahedral)
+
+
+def test_weak_class_data_sets_are_their_text():
+    """A data set the search builds equals the parse of its own text, with
+    an equal hash: it carries nothing the grammar cannot express, so its
+    g0 >= 1 handles are always re-derived."""
+    quotients = []
+    for g, f, n in itertools.product([10, 11, 19, 25, 49], (alt, sym), (4, 5, 6, 7)):
+        spec = f(n)
+        if spec.order > 84 * (g - 1):  # the Hurwitz bound
+            continue
+        kind = ALTERNATING if spec.family == "A" else SYMMETRIC
+        for item in enumerate_weak_classes(spec, g).items:
+            again = parse_dataset(str(item.ds), kind)
+            assert again == item.ds and hash(again) == hash(item.ds), str(item.ds)
+            quotients.append(item.ds.g0)
+    assert len(quotients) == 159 and quotients.count(1) == 40
+
+
+DERIVED_SPECS = ([sym(n) for n in range(3, 9)] + [alt(n) for n in range(4, 9)]
+                 + [alt_c2(n) for n in range(4, 8)])
+
+
+@pytest.mark.parametrize("spec", DERIVED_SPECS, ids=str)
+def test_derived_subgroup_and_center_follow_the_family_rules(spec):
+    """The g0 >= 2 end classes, read off the table as the normal closure of
+    the commutators, and the center, read off as the size-1 classes, are
+    the family rules: the even classes of Sym(n); all of Alt(n) but V_4 in
+    Alt(4); the w = 0 classes of Alt(n) x C_2, again V_4 at n = 4; and a
+    trivial center but for the central swap of Alt(n) x C_2."""
+    table = group_table(spec)
+    derived = set()
+    for ci, cl in enumerate(table.classes):
+        if spec.family == "S":
+            keep = cl.rep.is_even()
+        else:
+            keep = spec.n > 4 or cl.rep.order() in (1, 2)
+            if spec.family == "AxC2":
+                keep = keep and not cl.key[2]
+        if keep:
+            derived.add(ci)
+    for g0 in (2, 3, 5):
+        assert _feasible_end_ids(table, g0) == derived
+    center = {table.identity.images}
+    if spec.family == "AxC2":
+        center.add(embed_alt_c2(Perm.identity(spec.n), True).images)
+    assert table._center == center
 
 
 def test_long_relation_value_is_the_product_of_the_word():
