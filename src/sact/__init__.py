@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .perm import CycleType, Perm, parse_perm
 from .groups import (GroupSpec, alt, alt_c2, are_conjugate, centralizer_order,
                      commutator_witness, generates, parse_group, sym)
-from .orbifold import (CyclicDataSet, Signature, cyclic_data_set,
-                       enumerate_signatures, parse_cyclic, rh_genus, signature,
-                       validate_cyclic)
+from .orbifold import (CyclicDataSet, Signature, enumerate_signatures,
+                       parse_cyclic, rh_genus, validate_cyclic)
 from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_form,
                        dataset, equivalent, format_dataset, parse_dataset,
                        validate)
@@ -30,8 +29,8 @@ __all__ = [
     "CycleType", "Perm", "parse_perm",
     "GroupSpec", "alt", "alt_c2", "sym", "parse_group", "are_conjugate",
     "centralizer_order", "commutator_witness", "generates",
-    "CyclicDataSet", "Signature", "cyclic_data_set", "enumerate_signatures",
-    "parse_cyclic", "rh_genus", "signature", "validate_cyclic",
+    "CyclicDataSet", "Signature", "enumerate_signatures", "parse_cyclic",
+    "rh_genus", "validate_cyclic",
     "ALTERNATING", "SYMMETRIC", "GroupDataSet", "canonical_form", "dataset",
     "equivalent", "format_dataset", "parse_dataset", "validate",
     "GeneratingVector", "SearchBudget", "enumerate_vectors",

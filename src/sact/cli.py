@@ -22,12 +22,12 @@ import sys
 
 from . import __version__
 from . import cache as result_cache
-from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, canonical_entries,
-                       class_slots, format_dataset, parse_dataset, validate)
+from .datasets import (ALTERNATING, GroupDataSet, canonical_entries, class_slots,
+                       format_dataset, parse_dataset, validate)
 from .errors import BudgetExhausted, InconsistencyError, ParseError, SactError
 from .factors import (class_entries, class_factor, cyclic_factor,
                       obstruction_report, standard_factors, weakly_generates)
-from .groups import ALT, SYM, GroupSpec, group_table, parse_group
+from .groups import ALT, ALT_C2, SYM, GroupSpec, group_table, parse_group
 from .lifting import (InvolutionDescent, decide_lift, free_action_analysis,
                       self_normalizing)
 from .orbifold import parse_cyclic
@@ -157,10 +157,6 @@ def _parser():
 # classify
 
 
-def _kind_of(spec: GroupSpec) -> str:
-    return ALTERNATING if spec.family == ALT else SYMMETRIC
-
-
 def _dataset_group(args) -> GroupSpec:
     """The --group of a command that works on data sets, i.e. not AxC2n."""
     spec = parse_group(args.group)
@@ -187,10 +183,9 @@ def classify_group_rows(family: str, n: int, genus: int,
     rows = []
     for item in result.items:
         elliptic = checked_vector(item.vector).elliptic
-        if item.ds is not None:
-            kind = item.ds.kind
+        if family != ALT_C2:
             slots = class_slots(table, item.key)
-            canon = GroupDataSet(kind, n, item.sig.g0, canonical_entries(kind, n, slots))
+            canon = GroupDataSet(family, n, item.sig.g0, canonical_entries(family, n, slots))
             entries = class_entries(table, canon.entries)
             f_sigma, f_tau = (class_factor(table, genus, entries, ci) for ci in standard)
             rows.append({
@@ -290,7 +285,7 @@ def cmd_weakgen(args) -> int:
 
 def cmd_factor(args) -> int:
     spec = _dataset_group(args)
-    ds = parse_dataset(args.ds, _kind_of(spec))
+    ds = parse_dataset(args.ds, spec.family)
     validate(ds, structure_only=True)
     payload = {"command": "factor", "group": spec.name, "data_set": format_dataset(ds)}
     if args.standard:

@@ -30,8 +30,8 @@ from .groups import (ALT, SYM, GroupSpec, GroupTable, commutator_witnesses,
 from .orbifold import Signature, format_runs, parse_runs, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
-ALTERNATING = "A"
-SYMMETRIC = "S"
+# a data set's kind is its group family
+ALTERNATING, SYMMETRIC = ALT, SYM
 
 _LABEL_RANK = {"whole": 0, "plus": 1, "minus": 2}
 
@@ -68,7 +68,7 @@ class GroupDataSet:
 
     @functools.cached_property
     def spec(self) -> GroupSpec:
-        return GroupSpec(ALT if self.kind == ALTERNATING else SYM, self.n)
+        return GroupSpec(self.kind, self.n)
 
     def expanded(self) -> list:
         """Entry representatives repeated by multiplicity, in stored order."""
@@ -81,8 +81,7 @@ class GroupDataSet:
         return p
 
     def signature(self) -> Signature:
-        periods = sorted(e.order for e in self.entries for _ in range(e.mult))
-        return Signature(self.g0, tuple(periods))
+        return Signature(self.g0, [e.order for e in self.entries for _ in range(e.mult)])
 
     def __str__(self) -> str:
         return format_dataset(self)
@@ -317,7 +316,7 @@ def parse_dataset(text: str, kind: str) -> GroupDataSet:
         rep = parse_perm(perm_text.strip(), n)
         try:
             declared_order = int(order_text)
-            declared_type = tuple(sorted(int(k) for k in types.split(",") if k.strip()))
+            declared_type = tuple(int(k) for k in types.split(",") if k.strip())
         except ValueError:
             raise ParseError(f"bad entry {inner!r}") from None
         entries.append(Entry(rep, declared_order, CycleType(declared_type, n), mult))

@@ -37,8 +37,7 @@ from .errors import (GenusMismatch, InconsistencyError, MembershipError,
                      NegativeMultiplicityError, NonIntegralError)
 from .groups import (CLOSURE_ORDER_CAP, GroupSpec, GroupTable, are_conjugate,
                      centralizer_order, group_table, require_member, spans)
-from .orbifold import (CyclicDataSet, cyclic_data_set, quotient_genus,
-                       validate_cyclic)
+from .orbifold import CyclicDataSet, quotient_genus, validate_cyclic
 from .perm import Perm
 from .vectors import SearchBudget, enumerate_weak_classes
 
@@ -177,11 +176,11 @@ def _unwind(g: int, d: int, count: Callable[[int, int], int]) -> CyclicDataSet:
 
     cones = []
     for t in divisors:
-        for u, k in sorted(mult[t].items()):
+        for u, k in mult[t].items():
             if k:
                 cones.extend([(pow(u, -1, t), t)] * k)
     g0 = quotient_genus(g, d, [t for _, t in cones], _non_integral_quotient)
-    factor = cyclic_data_set(d, g0, cones)
+    factor = CyclicDataSet(d, g0, cones)
     genus = validate_cyclic(factor)
     if genus != g:
         raise InconsistencyError(f"factor {factor} has genus {genus}, not {g}")

@@ -69,10 +69,12 @@ class GroupSpec:
         a, _ = split_alt_c2(p)
         return a.is_even()
 
+    @functools.lru_cache(maxsize=None)
     def standard_generators(self) -> tuple:
         """A fixed generating pair: (1 2), (1 2 .. n) for Sym(n); (1 2 3) and
         the n- or (n-1)-cycle for Alt(n); for Alt(n) x C_2 the 3-cycle paired
-        with the central swap plus the long Alt-cycle."""
+        with the central swap plus the long Alt-cycle.  Built once per group:
+        the handle solver asks for it once per class tuple at g0 >= 2."""
         n = self.n
         if self.family == SYM:
             return (Perm.from_cycles([(1, 2)], n), Perm.from_cycles([tuple(range(1, n + 1))], n))
@@ -93,8 +95,7 @@ class GroupSpec:
             return frozenset(base | {math.lcm(o, 2) for o in base})
         orders = set()
         for parts in _partitions(self.n):
-            moved = tuple(sorted(k for k in parts if k >= 2))
-            ct = CycleType(moved, self.n)
+            ct = CycleType(tuple(k for k in parts if k >= 2), self.n)
             if self.family == SYM or ct.is_even():
                 orders.add(ct.order())
         return frozenset(orders)

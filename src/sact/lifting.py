@@ -24,7 +24,6 @@ finer split classes, up to one global flip, is reported on the verdict as
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,8 +34,8 @@ from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, cone_slots, dataset
 from .errors import (BudgetExhausted, GenusMismatch, NotIndexTwo,
                      ValidationFailure)
 from .groups import ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2
-from .orbifold import (CyclicDataSet, Signature, cyclic_data_set,
-                       quotient_genus, rh_genus, validate_cyclic)
+from .orbifold import (CyclicDataSet, Signature, quotient_genus, rh_genus,
+                       validate_cyclic)
 from .perm import Perm
 from .vectors import (GeneratingVector, SearchBudget, WeakClass,
                       enumerate_weak_classes, materialize_vector,
@@ -51,6 +50,8 @@ class InvolutionDescent:
     perm: Perm  # acts on the cone-point indices 1..r of the alternating data set
 
     def __post_init__(self):
+        if self.d.degree != 2:
+            raise ValidationFailure("admissibility", f"descended class {self.d} is not degree 2")
         if not (self.perm * self.perm).is_identity():
             raise ValidationFailure("admissibility", "cone permutation must be an involution")
 
@@ -116,7 +117,7 @@ def index2_restrict(v: GeneratingVector) -> Restriction:
     g0_prime = quotient_genus(g, alt_spec.order, [m for _, m in cones],
                               _non_integral_descent)
 
-    d = cyclic_data_set(2, v.sig.g0, [(1, 2)] * ell)
+    d = CyclicDataSet(2, v.sig.g0, [(1, 2)] * ell)
     if validate_cyclic(d) != g0_prime:
         raise ValidationFailure("congruence", "descended involution class is inconsistent")
 
@@ -298,7 +299,7 @@ def quotient_signature(ds: GroupDataSet, inv: InvolutionDescent) -> Signature:
         elif i < j:
             periods.append(slots[i - 1][0])
     periods.extend([2] * (len(inv.d.cones) - fixed))
-    return Signature(inv.d.g0, tuple(sorted(periods)))
+    return Signature(inv.d.g0, periods)
 
 
 @dataclass
@@ -429,7 +430,7 @@ def involution_classes_on(genus0: int) -> list:
         if k < 0:
             break
         try:
-            d = cyclic_data_set(2, q, [(1, 2)] * k)
+            d = CyclicDataSet(2, q, [(1, 2)] * k)
             if validate_cyclic(d) == genus0:
                 out.append(d)
         except ValidationFailure:
@@ -500,9 +501,9 @@ def free_action_analysis(n: int, g: int) -> FreeReport:
     k even extends to a free symmetric action; odd k >= 3 to a branched one;
     k = 1 is reported unknown (it hinges on whether a torus quotient with two
     order-2 cones carries a symmetric action, which this tool does not rule
-    on here).
+    on here).  Raises ParseError for n < 4.
     """
-    half = math.factorial(n) // 2
+    half = GroupSpec(ALT, n).order
     if g < 2 or (g - 1) % half != 0:
         return FreeReport(n, g, None, "no_free_action")
     k = (g - 1) // half
@@ -514,14 +515,14 @@ def free_action_analysis(n: int, g: int) -> FreeReport:
         validate(witness)
         report.extension = "free_sym"
         report.witness_symmetric = witness
-        report.witness_descent = cyclic_data_set(2, 1 + k // 2, [])
+        report.witness_descent = CyclicDataSet(2, 1 + k // 2, [])
     elif k >= 3:
         swap = Perm.from_cycles([(1, 2)], n)
         witness = dataset(SYMMETRIC, n, (k + 1) // 2, [(swap, 2)])
         validate(witness)
         report.extension = "nonfree_sym"
         report.witness_symmetric = witness
-        report.witness_descent = cyclic_data_set(2, (k + 1) // 2, [(1, 2), (1, 2)])
+        report.witness_descent = CyclicDataSet(2, (k + 1) // 2, [(1, 2), (1, 2)])
     else:
         report.extension = "unknown_k1"
     return report

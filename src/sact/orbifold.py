@@ -3,9 +3,13 @@
 All arithmetic is exact: genus equations are solved in integers over the lcm
 of the periods, and any non-integrality is surfaced, never rounded.
 
+Signatures and cyclic data sets are multisets: each type stores its periods
+or cones sorted, in whatever order they are given, so Signature(0, (3, 2))
+== Signature(0, (2, 3)).
+
 Text grammars:
   signature        (g0;m1,m2,...)          cone orders ascending, (g0;-) if none
-  cyclic data set  (n,g0;(c1,m1)^[l1],...) with - for an empty cone list
+  cyclic data set  (n,g0;(c1,m1)^[l1],...) cones by (order, rotation), - if none
 """
 
 from __future__ import annotations
@@ -24,18 +28,18 @@ from .groups import GroupSpec
 
 @dataclass(frozen=True)
 class Signature:
-    """Orbifold signature: genus g0 plus cone-point orders."""
+    """Orbifold signature: genus g0 plus the multiset of cone-point orders,
+    stored ascending."""
 
     g0: int
     periods: Tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "periods", tuple(sorted(self.periods)))
         if self.g0 < 0:
             raise ParseError("orbifold genus must be >= 0")
         if min(self.periods, default=2) < 2:
             raise ParseError("periods must be >= 2")
-        if tuple(sorted(self.periods)) != self.periods:
-            raise ParseError("periods must be sorted ascending")
 
     @property
     def r(self) -> int:
@@ -48,10 +52,6 @@ class Signature:
     def __str__(self) -> str:
         body = ",".join(str(m) for m in self.periods) if self.periods else "-"
         return f"({self.g0};{body})"
-
-
-def signature(g0: int, periods: Sequence[int]) -> Signature:
-    return Signature(g0, tuple(sorted(periods)))
 
 
 def rh_genus(group_order: int, sig: Signature) -> Optional[int]:
@@ -137,23 +137,24 @@ def _multiplicities(weights: Sequence[int], need: int):
 @dataclass(frozen=True)
 class CyclicDataSet:
     """Conjugacy invariant of one periodic map: degree, quotient genus, and
-    (rotation number, order) pairs at the cone points, with multiplicity."""
+    the multiset of (rotation number, order) pairs at the cone points,
+    stored sorted by (order, rotation)."""
 
     degree: int
     g0: int
     cones: Tuple[Tuple[int, int], ...]  # (c, m) pairs, repetition = multiplicity
 
     def __post_init__(self):
+        object.__setattr__(self, "cones",
+                           tuple(sorted(self.cones, key=lambda cm: (cm[1], cm[0]))))
         if self.degree < 2:
             raise ParseError("cyclic data set degree must be >= 2")
         if self.g0 < 0:
             raise ParseError("quotient genus must be >= 0")
-        if tuple(sorted(self.cones, key=lambda cm: (cm[1], cm[0]))) != self.cones:
-            raise ParseError("cones must be sorted by (order, rotation)")
 
     @property
     def signature(self) -> Signature:
-        return Signature(self.g0, tuple(sorted(m for _, m in self.cones)))
+        return Signature(self.g0, [m for _, m in self.cones])
 
     def __str__(self) -> str:
         if not self.cones:  # most factors a sweep prints: skip the run scan
@@ -162,31 +163,30 @@ class CyclicDataSet:
                            [(f"({c},{m})", k) for (c, m), k in run_lengths(self.cones)])
 
 
-def cyclic_data_set(degree: int, g0: int, cones: Sequence[Tuple[int, int]]) -> CyclicDataSet:
-    return CyclicDataSet(degree, g0, tuple(sorted(cones, key=lambda cm: (cm[1], cm[0]))))
-
-
 def validate_cyclic(d: CyclicDataSet) -> int:
     """Check the defining conditions and return the genus.
 
     Raises ValidationFailure tagged divisibility / lcm / congruence /
-    integrality.
+    integrality.  The cone checks run once per distinct cone and weigh it
+    by its multiplicity; the cones are sorted, so the first distinct cone
+    that fails is the first cone that fails.
     """
     n = d.degree
-    for c, m in d.cones:
+    counts = collections.Counter()  # order -> cones of that order
+    total = 0
+    for (c, m), k in run_lengths(d.cones):
         if m < 2 or n % m != 0 or math.gcd(c, m) != 1 or not 1 <= c < m:
             raise ValidationFailure("divisibility", f"cone ({c},{m}) in degree {n}")
-    orders = [m for _, m in d.cones]
-    full = math.lcm(*orders)
+        counts[m] += k
+        total += (n // m) * c * k
+    full = math.lcm(*counts)
     # only an order that occurs once can be lcm-essential; the distinct
     # orders are divisors of n, so there are few of them
-    counts = collections.Counter(orders)
-    for m in orders:
-        if counts[m] == 1 and math.lcm(*(k for k in counts if k != m)) != full:
+    for m, k in counts.items():
+        if k == 1 and math.lcm(*(o for o in counts if o != m)) != full:
             raise ValidationFailure("lcm", f"order {m} is lcm-essential")
     if d.g0 == 0 and full != n:
         raise ValidationFailure("lcm", f"lcm {full} != degree {n} with g0 = 0")
-    total = sum((n // m) * c for c, m in d.cones)
     if total % n != 0:
         raise ValidationFailure("congruence", f"sum (n/m)c = {total} mod {n}")
     g = rh_genus(n, d.signature)
@@ -250,4 +250,4 @@ def parse_cyclic(text: str) -> CyclicDataSet:
     """Parse e.g. ``(5,3;(1,5)^[2],(4,5)^[2])`` or ``(3,7;-)``."""
     degree, g0, runs = parse_runs(text, _CONE_RE, "cyclic data set", "cone")
     cones = [(int(cm.group(1)), int(cm.group(2))) for cm, k in runs for _ in range(k)]
-    return cyclic_data_set(degree, g0, cones)
+    return CyclicDataSet(degree, g0, cones)

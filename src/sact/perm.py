@@ -52,7 +52,7 @@ class Perm:
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], n: int) -> "Perm":
@@ -119,8 +119,7 @@ class Perm:
         return tuple(out)
 
     def cycle_type(self) -> "CycleType":
-        parts = tuple(sorted(len(c) for c in self.cycles()))
-        return CycleType(parts, self.degree)
+        return CycleType(tuple(len(c) for c in self.cycles()), self.degree)
 
     def _cycle_lengths(self) -> list:
         """Length of every cycle, fixed points included, in one walk."""
@@ -165,7 +164,8 @@ class Perm:
 
 @dataclass(frozen=True)
 class CycleType:
-    """Multiset of cycle lengths >= 2 inside an ambient degree n.
+    """Multiset of cycle lengths >= 2 inside an ambient degree n, stored
+    ascending, so CycleType((3, 2), 5).parts == (2, 3).
 
     Fixed points are implied: there are n - sum(parts) of them.
     """
@@ -174,12 +174,11 @@ class CycleType:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
         if any(k < 2 for k in self.parts):
             raise ParseError("cycle type parts must be >= 2")
         if sum(self.parts) > self.n:
             raise ParseError("cycle type exceeds ambient degree")
-        if tuple(sorted(self.parts)) != self.parts:
-            raise ParseError("cycle type parts must be sorted ascending")
 
     @property
     def fixed_points(self) -> int:

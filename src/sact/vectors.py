@@ -61,8 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, dataset,
-                       handle_solutions, validate)
+from .datasets import GroupDataSet, dataset, handle_solutions, validate
 from .errors import (BudgetExhausted, InconsistencyError, NotApplicable,
                      ParseError, PeriodNotRealizable, ValidationFailure)
 from .groups import ALT, SYM, GroupSpec, group_table, spans
@@ -184,8 +183,7 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
         # every image lies in a proper normal subgroup: nothing generates
         return
     r = len(class_ids)
-    periods = tuple(sorted(table.class_orders[c] for c in class_ids))
-    sig = Signature(g0, periods)
+    sig = Signature(g0, [table.class_orders[c] for c in class_ids])
     # reach[i]: the classes from which the product of the first i elliptics
     # can still close the relation
     reach = [None] * (r + 1)
@@ -342,8 +340,7 @@ def materialize_vector(ds: GroupDataSet) -> GeneratingVector:
     """One concrete vector for a valid data set, its handles solved afresh."""
     spec = ds.spec
     reps = ds.expanded()
-    periods = tuple(sorted(rep.order() for rep in reps))
-    sig = Signature(ds.g0, periods)
+    sig = Signature(ds.g0, [rep.order() for rep in reps])
     handles = next(handle_solutions(spec, ds.g0, reps, ds.product()), None)
     if handles is None:
         raise NotApplicable("no handle images close the relation")
@@ -410,8 +407,7 @@ def _canonical_key(table, ids: Sequence[int]) -> tuple:
 
 
 def dataset_from_vector(vec: GeneratingVector) -> GroupDataSet:
-    kind = ALTERNATING if vec.spec.family == ALT else SYMMETRIC
-    return dataset(kind, vec.spec.n, vec.sig.g0, run_lengths(vec.elliptic))
+    return dataset(vec.spec.family, vec.spec.n, vec.sig.g0, run_lengths(vec.elliptic))
 
 
 def enumerate_weak_classes(spec: GroupSpec, g: int,

@@ -23,7 +23,7 @@ from sact.groups import (alt, alt_c2, are_conjugate, centralizer_order,
 from sact.lifting import (ALT_TIMES_C2, WLS, InvolutionDescent, decide_lift,
                           free_action_analysis, index2_restrict, match_descent,
                           psi_map)
-from sact.orbifold import parse_cyclic, signature, validate_cyclic
+from sact.orbifold import Signature, parse_cyclic, validate_cyclic
 from sact.perm import Perm, parse_perm
 from sact.vectors import (enumerate_weak_classes, materialize_vector,
                           vectors_for_dataset)
@@ -111,12 +111,12 @@ def test_criterion_4a_icosahedral_lifts():
     d = parse_cyclic("(2,0;(1,2)^[2])")
 
     # (0;2,10,10) admits no degree-5 genus-19 symmetric class
-    res = enumerate_weak_classes(sym(5), 19, signatures=[signature(0, (2, 10, 10))])
+    res = enumerate_weak_classes(sym(5), 19, signatures=[Signature(0, (2, 10, 10))])
     assert res.items == [] and res.complete
 
     # the other two signatures carry exactly one symmetric class each
     for periods in [(4, 4, 5), (2, 2, 2, 5)]:
-        res = enumerate_weak_classes(sym(5), 19, signatures=[signature(0, periods)])
+        res = enumerate_weak_classes(sym(5), 19, signatures=[Signature(0, periods)])
         assert len(res.items) == 1, periods
 
     v34 = decide_lift(ds, InvolutionDescent(d, parse_perm("(3 4)", 4)))
@@ -165,7 +165,7 @@ def test_criterion_5_free_actions():
             assert restriction.alt_ds.entries == ()
             assert restriction.alt_ds.g0 == k + 1
         # the enumerator agrees a free class exists exactly here
-        res = enumerate_weak_classes(alt(5), g, signatures=[signature(k + 1, [])])
+        res = enumerate_weak_classes(alt(5), g, signatures=[Signature(k + 1, [])])
         assert len(res.items) == 1 and res.items[0].ds.entries == ()
     assert free_action_analysis(5, 100).status == "no_free_action"
     assert free_action_analysis(5, 62).status == "no_free_action"

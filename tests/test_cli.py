@@ -276,6 +276,14 @@ def test_parse_error_exit_code(capsys):
     # an entry whose declared order or cycle type is not a number
     ["factor", "--group", "A5", "--standard", "--ds", "(5,0;[(1 2)(3 4),x;2,2])"],
     ["factor", "--group", "A5", "--standard", "--ds", "(5,0;[(1 2)(3 4),2;2,y])"],
+    # Alt(n) needs n >= 4, also where no data set is read
+    ["free", "--n", "0", "--genus", "10"],
+    ["free", "--n", "1", "--genus", "10"],
+    ["free", "--n", "-2", "--genus", "10"],
+    # the descended class of an involution has degree 2
+    ["lift", "--group", "A5",
+     "--ds", "(5,0;[(1 2)(3 4),2;2,2]^[2],[(1 5 4 3 2),5;5],[(1 2 3 4 5),5;5])",
+     "--d", "(3,0;(1,3),(2,3))", "--pi", "(3 4)"],
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -4,7 +4,7 @@ from sact.datasets import ALTERNATING, dataset, validate
 from sact.errors import DegreeCapExceeded, MembershipError
 from sact.groups import alt, centralizer_order, generates, sym
 from sact.lifting import WLS, InvolutionDescent, decide_lift
-from sact.orbifold import parse_cyclic, signature
+from sact.orbifold import Signature, parse_cyclic
 from sact.perm import Perm, parse_perm
 from sact.vectors import enumerate_weak_classes
 
@@ -23,14 +23,14 @@ def test_membership_errors():
 
 def test_no_symmetric_class_on_torus_with_one_cone():
     # the quotient shape behind the octahedral free-involution verdict
-    res = enumerate_weak_classes(sym(4), 7, signatures=[signature(1, [2])])
+    res = enumerate_weak_classes(sym(4), 7, signatures=[Signature(1, [2])])
     assert res.items == [] and res.complete
 
 
 def test_alt4_positive_genus_quotient_without_shortcut():
     # quotient genus 2, no cones: the handle construction must close the
     # relation inside Alt(4) even though single commutators only fill V_4
-    res = enumerate_weak_classes(alt(4), 13, signatures=[signature(2, [])])
+    res = enumerate_weak_classes(alt(4), 13, signatures=[Signature(2, [])])
     assert len(res.items) == 1
     vec = res.items[0].vector
     assert vec.long_relation_value().is_identity()
@@ -48,3 +48,11 @@ def test_free_action_quotient_genus_5_extends_freely():
     assert verdict.kind == WLS
     assert verdict.witness_symmetric.g0 == 3
     assert verdict.witness_symmetric.entries == ()
+
+
+def test_every_export_resolves():
+    import sact
+    assert [name for name in sact.__all__ if not hasattr(sact, name)] == []
+    namespace = {}
+    exec("from sact import *", namespace)
+    assert set(sact.__all__) <= set(namespace)

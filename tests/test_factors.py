@@ -18,7 +18,7 @@ from sact.factors import (_class_factor, _class_fixed_points, _direct_factor,
                           weakly_generates)
 from sact.groups import (CLOSURE_ORDER_CAP, GroupTable, alt, alt_c2,
                          centralizer_order, group_table, sym)
-from sact.orbifold import cyclic_data_set, parse_cyclic, validate_cyclic
+from sact.orbifold import CyclicDataSet, parse_cyclic, validate_cyclic
 from sact.perm import parse_perm
 from sact.vectors import enumerate_weak_classes
 
@@ -150,7 +150,7 @@ def test_weakly_generates_genus_mismatch():
 
 
 def test_weakly_generates_hyperelliptic_absent():
-    hyper = cyclic_data_set(2, 0, [(1, 2)] * 22)
+    hyper = CyclicDataSet(2, 0, [(1, 2)] * 22)
     assert validate_cyclic(hyper) == 10
     d_g = parse_cyclic("(4,1;(1,4)^[3],(3,4)^[3])")
     assert weakly_generates(hyper, d_g, sym(4)) is None

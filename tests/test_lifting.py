@@ -19,7 +19,7 @@ from sact.lifting import (ALT_TIMES_C2, NOT_LIFTABLE, UNDETERMINED, WLS,
                           decide_lift, free_action_analysis, index2_restrict,
                           involution_classes_on, match_descent,
                           quotient_signature, self_normalizing)
-from sact.orbifold import parse_cyclic, signature
+from sact.orbifold import Signature, parse_cyclic
 from sact.perm import Perm, parse_perm
 from sact.vectors import (SearchBudget, enumerate_weak_classes,
                           materialize_vector, validate_vector,
@@ -111,15 +111,15 @@ def test_quotient_signatures_icosahedral():
              "(1 2)(3 4)": (0, (2, 2, 2, 5))}
     for pi_text, (g0, periods) in cases.items():
         sig = quotient_signature(ds, descent(D_SPHERE, pi_text, 4))
-        assert sig == signature(g0, list(periods))
+        assert sig == Signature(g0, list(periods))
 
 
 def test_quotient_signatures_octahedral():
     ds = parse_dataset(OCTAHEDRAL_A, ALTERNATING)
     sig = quotient_signature(ds, descent("(2,0;(1,2)^[4])", "()", 2))
-    assert sig == signature(0, [2, 2, 4, 4])
+    assert sig == Signature(0, [2, 2, 4, 4])
     sig = quotient_signature(ds, descent("(2,0;(1,2)^[4])", "(1 2)", 2))
-    assert sig == signature(0, [2, 2, 2, 2, 2])
+    assert sig == Signature(0, [2, 2, 2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +314,9 @@ def test_icosahedral_lift_decisions():
 def test_icosahedral_lift_candidates_are_unique():
     from sact.vectors import enumerate_weak_classes
     for periods in [(4, 4, 5), (2, 2, 2, 5)]:
-        res = enumerate_weak_classes(sym(5), 19, signatures=[signature(0, periods)])
+        res = enumerate_weak_classes(sym(5), 19, signatures=[Signature(0, periods)])
         assert len(res.items) == 1
-    res = enumerate_weak_classes(sym(5), 19, signatures=[signature(0, (2, 10, 10))])
+    res = enumerate_weak_classes(sym(5), 19, signatures=[Signature(0, (2, 10, 10))])
     assert res.items == []
 
 
@@ -344,7 +344,7 @@ def test_da2_lift_decision():
     assert v.kind == ALT_TIMES_C2
     assert v.strict_class_match is True
     assert quotient_signature(ds, descent(D_SPHERE, "(1 2)(3 4)", 5)) == \
-        signature(0, [2, 2, 3, 6])
+        Signature(0, [2, 2, 3, 6])
 
 
 def test_cubic_lift_decision():
@@ -371,7 +371,7 @@ def test_dodecahedral_lift_decisions():
     v34 = decide_lift(ds, descent(D_SPHERE, "(3 4)", 4))
     assert v34.kind == WLS and v34.strict_class_match
     sig = quotient_signature(ds, descent(D_SPHERE, "(1 2)", 4))
-    assert sig == signature(0, [2, 6, 6])
+    assert sig == Signature(0, [2, 6, 6])
 
 
 def test_descent_validation():
@@ -443,7 +443,7 @@ def test_self_normalizing_shares_searches_without_changing_verdicts(
 
 def test_shared_search_keeps_each_candidates_own_descent():
     searches = _ExtensionSearches.under(None)
-    spec, sig = alt_c2(5), signature(0, [2, 2, 2, 6])
+    spec, sig = alt_c2(5), Signature(0, [2, 2, 2, 6])
     first = list(searches.candidates(spec, 21, sig))
     assert len(first) == 2
     assert [r for _, r in first] == [index2_restrict(item.vector) for item, _ in first]
@@ -495,7 +495,7 @@ def test_free_alternating_class_exists_iff_k_integral():
         if expect:
             k = report.k
             res = enumerate_weak_classes(alt(5), g,
-                                         signatures=[signature(k + 1, [])])
+                                         signatures=[Signature(k + 1, [])])
             assert len(res.items) == 1
             assert res.items[0].ds.entries == ()
 

@@ -11,28 +11,28 @@ from sact.errors import NonIntegralError, ParseError, ValidationFailure
 from sact.factors import _non_integral_quotient
 from sact.groups import alt, alt_c2, sym
 from sact.lifting import _non_integral_descent
-from sact.orbifold import (CyclicDataSet, Signature, cyclic_data_set,
-                           enumerate_signatures, parse_cyclic,
-                           quotient_genus, rh_genus, signature,
+from sact.orbifold import (CyclicDataSet, Signature, enumerate_signatures,
+                           parse_cyclic, quotient_genus, rh_genus,
                            validate_cyclic)
+from sact.perm import CycleType
 
 
 def test_rh_genus_worked_values():
-    assert rh_genus(60, signature(0, [2, 2, 5, 5])) == 19
-    assert rh_genus(60, signature(0, [2, 2, 3, 3])) == 11
-    assert rh_genus(360, signature(0, [2, 4, 5])) == 10
-    assert rh_genus(24, signature(0, [2, 2, 4, 4])) == 7
-    assert rh_genus(12, signature(1, [2, 2])) == 7
+    assert rh_genus(60, Signature(0, [2, 2, 5, 5])) == 19
+    assert rh_genus(60, Signature(0, [2, 2, 3, 3])) == 11
+    assert rh_genus(360, Signature(0, [2, 4, 5])) == 10
+    assert rh_genus(24, Signature(0, [2, 2, 4, 4])) == 7
+    assert rh_genus(12, Signature(1, [2, 2])) == 7
 
 
 def test_rh_genus_non_integral():
-    assert rh_genus(60, signature(0, [2, 2, 2])) is None  # positive area
-    assert rh_genus(7, signature(0, [2, 2, 2, 3])) is None
+    assert rh_genus(60, Signature(0, [2, 2, 2])) is None  # positive area
+    assert rh_genus(7, Signature(0, [2, 2, 2, 3])) is None
 
 
 def test_rh_genus_monotone_in_area():
-    sigs = [signature(0, [2, 2, 2, 3]), signature(0, [2, 2, 2, 4]),
-            signature(0, [2, 2, 2, 5])]
+    sigs = [Signature(0, [2, 2, 2, 3]), Signature(0, [2, 2, 2, 4]),
+            Signature(0, [2, 2, 2, 5])]
     areas = [s.area_term() for s in sigs]
     assert areas == sorted(areas, reverse=True)
     genera = []
@@ -43,10 +43,10 @@ def test_rh_genus_monotone_in_area():
 
 
 def test_enumerate_signatures_known_cases():
-    assert signature(0, [2, 2, 2, 5]) in enumerate_signatures(alt(5), 10)
-    assert signature(0, [2, 4, 5]) in enumerate_signatures(alt(6), 10)
+    assert Signature(0, [2, 2, 2, 5]) in enumerate_signatures(alt(5), 10)
+    assert Signature(0, [2, 4, 5]) in enumerate_signatures(alt(6), 10)
     assert enumerate_signatures(alt(5), 2) == []
-    assert enumerate_signatures(alt(5), 19) == [signature(0, [2, 2, 5, 5])]
+    assert enumerate_signatures(alt(5), 19) == [Signature(0, [2, 2, 5, 5])]
 
 
 def brute_signatures(spec, g, max_r=14):
@@ -142,7 +142,7 @@ def test_validate_cyclic_failures():
         validate_cyclic(parse_cyclic("(6,0;(1,4),(1,4),(1,3))"))
     assert err.value.condition == "divisibility"
     # the hyperelliptic shape at any even cone count is fine, genus (k-2)/2
-    assert validate_cyclic(cyclic_data_set(2, 0, [(1, 2)] * 6)) == 2
+    assert validate_cyclic(CyclicDataSet(2, 0, [(1, 2)] * 6)) == 2
 
 
 def _quadratic_validate_cyclic(d):
@@ -181,7 +181,7 @@ def cyclic_shapes(draw):
         cones.append((draw(st.sampled_from(units)), m))
     if draw(st.integers(0, 9)) == 0:
         cones.append((1, draw(st.integers(2, 80))))
-    return cyclic_data_set(n, draw(st.integers(0, 3)), cones)
+    return CyclicDataSet(n, draw(st.integers(0, 3)), cones)
 
 
 @settings(max_examples=400, deadline=None)
@@ -209,6 +209,12 @@ def test_parse_canonicalizes_cone_order():
     a = parse_cyclic("(4,1;(1,4)^[2],(3,4)^[2])")
     b = parse_cyclic("(4,1;(3,4),(1,4),(3,4),(1,4))")
     assert a == b
+
+
+def test_multiset_types_sort_their_input():
+    assert Signature(0, (3, 2)) == Signature(0, (2, 3))
+    assert CyclicDataSet(6, 0, [(5, 6), (1, 3), (1, 2)]).cones == ((1, 2), (1, 3), (5, 6))
+    assert CycleType((3, 2), 5).parts == (2, 3)
 
 
 def test_bad_syntax():

@@ -143,5 +143,4 @@ def test_cycle_type_invariants():
         CycleType((1, 2), 5)
     with pytest.raises(ParseError):
         CycleType((3, 3), 5)
-    with pytest.raises(ParseError):
-        CycleType((3, 2), 5)
+    assert CycleType((3, 2), 5).parts == (2, 3)

@@ -13,7 +13,7 @@ from sact.errors import (BudgetExhausted, InconsistencyError, PeriodNotRealizabl
                          ValidationFailure)
 from sact.groups import (GroupTable, alt, alt_c2, embed_alt_c2, flip_label,
                          group_table, subgroup_order, sym)
-from sact.orbifold import Signature, enumerate_signatures, signature
+from sact.orbifold import Signature, enumerate_signatures
 from sact.perm import Perm
 from sact.vectors import (GeneratingVector, SearchBudget, _feasible_end_ids,
                           dataset_from_vector, enumerate_vectors,
@@ -22,7 +22,7 @@ from sact.vectors import (GeneratingVector, SearchBudget, _feasible_end_ids,
 
 
 def test_enumerate_vectors_basic():
-    vecs = list(enumerate_vectors(alt(5), signature(0, [2, 2, 2, 5])))
+    vecs = list(enumerate_vectors(alt(5), Signature(0, [2, 2, 2, 5])))
     assert vecs
     for v in vecs[:50]:
         assert validate_vector(v)
@@ -33,11 +33,11 @@ def test_enumerate_vectors_basic():
 
 def test_period_not_realizable():
     with pytest.raises(PeriodNotRealizable):
-        list(enumerate_vectors(alt(5), signature(0, [2, 10, 10])))
+        list(enumerate_vectors(alt(5), Signature(0, [2, 10, 10])))
     with pytest.raises(PeriodNotRealizable):
-        list(enumerate_vectors(sym(5), signature(0, [2, 10, 10])))
+        list(enumerate_vectors(sym(5), Signature(0, [2, 10, 10])))
     # at the weak-class level unrealizable periods are simply absent
-    out = enumerate_weak_classes(sym(5), 19, signatures=[signature(0, [2, 10, 10])])
+    out = enumerate_weak_classes(sym(5), 19, signatures=[Signature(0, [2, 10, 10])])
     assert out.items == [] and out.complete
 
 
@@ -143,7 +143,7 @@ def test_simultaneous_conjugation_lands_in_same_class():
 
 
 def test_alt_c2_classes_are_vectors():
-    res = enumerate_weak_classes(alt_c2(4), 7, signatures=[signature(1, [2])])
+    res = enumerate_weak_classes(alt_c2(4), 7, signatures=[Signature(1, [2])])
     assert res.items
     for item in res.items:
         assert item.ds is None
@@ -160,10 +160,10 @@ def test_shortcut_agrees_with_search():
     """On a genus >= 2 quotient the search returns exactly the class
     multisets with matching orders and even product (the parity shortcut)."""
     # free symmetric action on genus 25 over Sym(4): one class
-    assert canonical_rows(sym(4), 25, signature(2, [])) == ["(4,2;-)"]
+    assert canonical_rows(sym(4), 25, Signature(2, [])) == ["(4,2;-)"]
     # one order-2 cone on a genus-2 quotient: the V-class survives, the
     # transposition class has odd product and is excluded
-    assert canonical_rows(sym(4), 31, signature(2, [2])) == \
+    assert canonical_rows(sym(4), 31, Signature(2, [2])) == \
         ["(4,2;[(1 2)(3 4),2;2,2])"]
 
 
@@ -171,7 +171,7 @@ def test_shortcut_excludes_odd_parity():
     # a single transposition entry has odd product: Sym(3) (2;2) has no
     # class at any genus, and Sym(4) rejects the transposition data set
     for g in range(5, 12):
-        assert canonical_rows(sym(3), g, signature(2, [2])) == []
+        assert canonical_rows(sym(3), g, Signature(2, [2])) == []
     with pytest.raises(ValidationFailure) as err:
         validate(parse_dataset("(4,2;[(1 2),2;2])", SYMMETRIC))
     assert err.value.condition == "parity"
@@ -180,9 +180,9 @@ def test_shortcut_excludes_odd_parity():
 def test_alt4_genus2_quotient_needs_product_in_v4():
     # commutators of Alt(4) fill only V_4: an involution entry closes the
     # handle relation, a single 3-cycle does not
-    assert canonical_rows(alt(4), 16, signature(2, [2])) == \
+    assert canonical_rows(alt(4), 16, Signature(2, [2])) == \
         ["(4,2;[(1 2)(3 4),2;2,2])"]
-    assert canonical_rows(alt(4), 17, signature(2, [3])) == []
+    assert canonical_rows(alt(4), 17, Signature(2, [3])) == []
     assert validate(parse_dataset("(4,2;[(1 2)(3 4),2;2,2])", ALTERNATING)) == 16
     with pytest.raises(ValidationFailure) as err:
         validate(parse_dataset("(4,2;[(1 2 3),3;3])", ALTERNATING))
@@ -216,7 +216,7 @@ def test_node_budget_is_exact(spec, g, nodes, unfinished):
 def test_class_tuple_depth_does_not_grow_with_positions():
     # A4 on (0;3^60) at g = 229: the search over 60 positions runs inside 30
     # free frames, since it keeps its own stack
-    sig = [signature(0, [3] * 60)]
+    sig = [Signature(0, [3] * 60)]
     rows = [str(item.ds) for item in enumerate_weak_classes(alt(4), 229, signatures=sig).items]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 30)
@@ -312,7 +312,7 @@ def test_long_relation_value_is_the_product_of_the_word():
         s = (elems[k], elems[(5 * k + 3) % 24], elems[(7 * k + 1) % 24])
         handles = ((elems[(3 * k) % 24], elems[(11 * k + 2) % 24]),
                    (Perm.identity(4), elems[k]))
-        vec = GeneratingVector(sym(4), signature(1, []), s, handles)
+        vec = GeneratingVector(sym(4), Signature(1, []), s, handles)
         want = s[0] * s[1] * s[2]
         a, b = handles[0]
         want = want * (a * b * a.inverse() * b.inverse())
@@ -371,7 +371,7 @@ def test_degree6_outer_automorphism_pairs_stay_apart():
     assert phi[s].cycle_type() != s.cycle_type()  # not inner
 
     a6 = group_table(alt(6))
-    items = enumerate_weak_classes(alt(6), 40, signatures=[signature(0, [3, 4, 5])]).items
+    items = enumerate_weak_classes(alt(6), 40, signatures=[Signature(0, [3, 4, 5])]).items
     assert len(items) == 2
     first, second = (sorted(item.key) for item in items)
     image = sorted(a6.class_id(phi[a6.classes[ci].rep]) for ci in first)
@@ -380,11 +380,11 @@ def test_degree6_outer_automorphism_pairs_stay_apart():
 
 
 def test_free_actions_and_family_case():
-    assert canonical_rows(alt(5), 61, signature(2, [])) == ["(5,2;-)"]
-    assert canonical_rows(alt(5), 181, signature(4, [])) == ["(5,4;-)"]
+    assert canonical_rows(alt(5), 61, Signature(2, [])) == ["(5,2;-)"]
+    assert canonical_rows(alt(5), 181, Signature(4, [])) == ["(5,4;-)"]
     # two odd triple-transposition entries on a genus-2 quotient over Sym(6);
     # of the six involution-type pairs, the four with even product survive
-    rows = canonical_rows(sym(6), 1081, signature(2, [2, 2]))
+    rows = canonical_rows(sym(6), 1081, Signature(2, [2, 2]))
     family = parse_dataset("(6,2;[(1 2)(3 4)(5 6),2;2,2,2]^[2])", SYMMETRIC)
     assert str(canonical_form(family)) in rows
     assert len(rows) == 4
@@ -395,27 +395,27 @@ def test_free_actions_and_family_case():
 COVERED_PAIRS = [
     (alt(4), 3, None), (alt(4), 5, None), (alt(4), 7, None),
     (alt(4), 10, None), (alt(4), 11, None),
-    (alt(4), 13, [signature(2, [])]), (alt(4), 16, [signature(2, [2])]),
-    (alt(4), 17, [signature(2, [3])]),
+    (alt(4), 13, [Signature(2, [])]), (alt(4), 16, [Signature(2, [2])]),
+    (alt(4), 17, [Signature(2, [3])]),
     (alt(5), 10, None), (alt(5), 11, None), (alt(5), 19, None),
-    (alt(5), 61, [signature(2, [])]), (alt(5), 121, [signature(3, [])]),
-    (alt(5), 181, [signature(4, [])]),
+    (alt(5), 61, [Signature(2, [])]), (alt(5), 121, [Signature(3, [])]),
+    (alt(5), 181, [Signature(4, [])]),
     (alt(6), 10, None), (alt(6), 11, None),
-    (alt_c2(4), 5, [signature(0, [3, 6, 6])]), (alt_c2(4), 7, None),
-    (alt_c2(5), 19, [signature(0, [2, 10, 10])]),
-    (sym(3), 5, [signature(2, [2])]), (sym(3), 6, [signature(2, [2])]),
-    (sym(3), 7, [signature(2, [2])]), (sym(3), 8, [signature(2, [2])]),
-    (sym(3), 9, [signature(2, [2])]), (sym(3), 10, [signature(2, [2])]),
-    (sym(3), 11, [signature(2, [2])]),
+    (alt_c2(4), 5, [Signature(0, [3, 6, 6])]), (alt_c2(4), 7, None),
+    (alt_c2(5), 19, [Signature(0, [2, 10, 10])]),
+    (sym(3), 5, [Signature(2, [2])]), (sym(3), 6, [Signature(2, [2])]),
+    (sym(3), 7, [Signature(2, [2])]), (sym(3), 8, [Signature(2, [2])]),
+    (sym(3), 9, [Signature(2, [2])]), (sym(3), 10, [Signature(2, [2])]),
+    (sym(3), 11, [Signature(2, [2])]),
     (sym(4), 5, None), (sym(4), 7, None), (sym(4), 10, None),
-    (sym(4), 11, None), (sym(4), 25, [signature(2, [])]),
-    (sym(4), 31, [signature(2, [2])]),
+    (sym(4), 11, None), (sym(4), 25, [Signature(2, [])]),
+    (sym(4), 31, [Signature(2, [2])]),
     (sym(5), 10, None), (sym(5), 11, None),
-    (sym(5), 19, [signature(0, [2, 10, 10]), signature(0, [2, 2, 2, 5]),
-                  signature(0, [4, 4, 5])]),
-    (sym(5), 241, [signature(3, [])]),
+    (sym(5), 19, [Signature(0, [2, 10, 10]), Signature(0, [2, 2, 2, 5]),
+                  Signature(0, [4, 4, 5])]),
+    (sym(5), 241, [Signature(3, [])]),
     (sym(6), 10, None), (sym(6), 11, None),
-    (sym(6), 1081, [signature(2, [2, 2])]),
+    (sym(6), 1081, [Signature(2, [2, 2])]),
 ]
 
 
@@ -520,7 +520,7 @@ def test_dead_state_memo_fires(monkeypatch):
     """S4 on (1;2^8) at g = 49 exhausts its double-transposition tuple, which
     has no generating vector, within 3,000 nodes only by skipping the states
     already proven dead; expanding every state needs more than 100,000."""
-    sig = [signature(1, [2] * 8)]
+    sig = [Signature(1, [2] * 8)]
     assert enumerate_weak_classes(sym(4), 49, signatures=sig,
                                   budget=SearchBudget(max_nodes=3_000)).complete
     monkeypatch.setattr(sact.vectors, "_vectors_for_classes",
