@@ -73,13 +73,27 @@ def _read_env(env_options: list) -> None:
         action.required = required and value is None
 
 
+def _at_least(convert, low):
+    """An argparse type: convert, then reject a value below low, or NaN.
+    argparse reports the ValueError as `invalid <int|float> value`."""
+    def check(value: str):
+        x = convert(value)
+        if not x >= low:
+            raise ValueError(value)
+        return x
+    check.__name__ = convert.__name__
+    return check
+
+
 def _add_common(p, env_options: list) -> None:
     _env_option(p, env_options, "--format", "FORMAT", "text",
                 type=_format, choices=FORMATS)
     _env_option(p, env_options, "--cache-dir", "CACHE_DIR")
-    _env_option(p, env_options, "--budget-nodes", "BUDGET_NODES", 5_000_000, type=int)
-    _env_option(p, env_options, "--budget-seconds", "BUDGET_SECONDS", 600, type=float)
-    _env_option(p, env_options, "--jobs", "JOBS", 1, type=int)
+    _env_option(p, env_options, "--budget-nodes", "BUDGET_NODES", 5_000_000,
+                type=_at_least(int, 0))
+    _env_option(p, env_options, "--budget-seconds", "BUDGET_SECONDS", 600,
+                type=_at_least(float, 0))
+    _env_option(p, env_options, "--jobs", "JOBS", 1, type=_at_least(int, 1))
 
 
 def _budget(args) -> SearchBudget:

@@ -69,7 +69,7 @@ class GroupSpec:
         a, _ = split_alt_c2(p)
         return a.is_even()
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cache
     def standard_generators(self) -> tuple:
         """A fixed generating pair: (1 2), (1 2 .. n) for Sym(n); (1 2 3) and
         the n- or (n-1)-cycle for Alt(n); for Alt(n) x C_2 the 3-cycle paired
@@ -87,7 +87,7 @@ class GroupSpec:
             return (sigma, tau)
         return (embed_alt_c2(sigma, True), embed_alt_c2(tau, False))
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cache
     def element_orders(self) -> frozenset:
         """All element orders, computed from cycle types (no element table)."""
         if self.family == ALT_C2:
@@ -470,6 +470,10 @@ class GroupTable:
     flip on class ids: the class of each representative conjugated by
     (1 2).  That is the identity on Sym(n); on Alt(n) and Alt(n) x C_2 it
     swaps the two halves of each split class and keeps the C_2 part.
+
+    Every derived lookup is memoized per table by `functools.cache`, whose
+    key holds the table (compared by identity) until the process exits, so
+    a table built directly lives as long as one from `group_table`.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -489,18 +493,9 @@ class GroupTable:
             self.classes_by_order.setdefault(m, []).append(ci)
         # the center: the elements that are classes of their own
         self._center = {cl.rep.images for cl in self.classes if cl.size == 1}
-        self._centralizer_cache = {}
-        self._least_second_cache = {}
-        self._least_under_cache = {}
-        self._power_class_cache = {}
-        self._support_cache = {}
-        self._closure_cache = {}
-        self._commutator_class_ids = None
         # Subgroups as int bitmasks over `elements`: bit i marks elements[i].
         self.trivial_mask = 1 << self.elements.index(self.identity)
         self.full_mask = (1 << len(self.elements)) - 1
-        self._index = None
-        self._join_cache = {}
         self._mask_gens = {self.trivial_mask: ()}
 
     def _element_images(self) -> list:
@@ -572,6 +567,7 @@ class GroupTable:
         """Class id of a member; KeyError for anything else."""
         return self._class_of[p.images]
 
+    @functools.cache
     def centralizer(self, p: Perm) -> tuple:
         """Elements commuting with p, in element order.
 
@@ -579,15 +575,10 @@ class GroupTable:
         sides are composed on image tuples: z after p by itemgetter at p's
         images, 0-based, and p after z by indexing p's padded images.
         """
-        try:
-            return self._centralizer_cache[p.images]
-        except KeyError:
-            z_after_p = operator.itemgetter(*(k - 1 for k in p.images))
-            p_at = ((0,) + p.images).__getitem__
-            out = tuple(z for z in self.elements
-                        if z_after_p(z.images) == tuple(map(p_at, z.images)))
-            self._centralizer_cache[p.images] = out
-            return out
+        z_after_p = operator.itemgetter(*(k - 1 for k in p.images))
+        p_at = ((0,) + p.images).__getitem__
+        return tuple(z for z in self.elements
+                     if z_after_p(z.images) == tuple(map(p_at, z.images)))
 
     def orbit_least(self, zs: Iterable[Perm]) -> Optional[Callable[[tuple], bool]]:
         """A test on image tuples x: whether x is least, in element order,
@@ -613,66 +604,52 @@ class GroupTable:
                        for padded, after_z_inverse in moving)
         return least
 
+    @functools.cache
     def least_second(self, c0: int, c1: int) -> tuple:
         """The elements of class c1 least in their orbit under conjugation by
         the centralizer of class c0's representative, in element order: the
         second elliptic's choices once the first is pinned to that
         representative."""
-        key = (c0, c1)
-        out = self._least_second_cache.get(key)
-        if out is None:
-            least = self.orbit_least(self.centralizer(self.classes[c0].rep))
-            out = self.classes[c1].elements
-            if least is not None:
-                out = tuple(x for x in out if least(x.images))
-            self._least_second_cache[key] = out
-        return out
+        least = self.orbit_least(self.centralizer(self.classes[c0].rep))
+        out = self.classes[c1].elements
+        if least is None:
+            return out
+        return tuple(x for x in out if least(x.images))
 
+    @functools.cache
     def least_under_centralizer(self, mask: int) -> Optional[Callable[[tuple], bool]]:
         """orbit_least for the centralizer of the subgroup with bitmask
-        `mask` (trivial_mask or a mask join returned), memoized per mask.
+        `mask` (trivial_mask or a mask join returned).
 
         The centralizer of a subgroup is the common centralizer of any set
         that generates it, here the generators the mask was closed from.
         """
-        try:
-            return self._least_under_cache[mask]
-        except KeyError:
-            zs = self.elements
-            for padded in self._mask_gens[mask]:
-                commuting = {z.images for z in self.centralizer(Perm._trusted(padded[1:]))}
-                zs = [z for z in zs if z.images in commuting]
-            out = self._least_under_cache[mask] = self.orbit_least(zs)
-            return out
+        zs = self.elements
+        for padded in self._mask_gens[mask]:
+            commuting = {z.images for z in self.centralizer(Perm._trusted(padded[1:]))}
+            zs = [z for z in zs if z.images in commuting]
+        return self.orbit_least(zs)
 
+    @functools.cache
     def power_class(self, ci: int, k: int) -> int:
         """Class id of rep ** k for the representative of class ci: the
         power map, a class function."""
-        try:
-            return self._power_class_cache[(ci, k)]
-        except KeyError:
-            out = self._class_of[(self.classes[ci].rep ** k).images]
-            self._power_class_cache[(ci, k)] = out
-            return out
+        return self._class_of[(self.classes[ci].rep ** k).images]
 
     def centralizer_order(self, ci: int) -> int:
         """Order of the centralizer of any element of class ci."""
         return self.spec.order // self.classes[ci].size
 
+    @functools.cache
     def product_support(self, i: int, j: int) -> frozenset:
         """Class ids reachable as products: {class(a*b) : a in C_i, b in C_j}.
 
         class(a*b) = class(b*a), and b * rep runs over those classes as b
         runs over C_j; itemgetter at rep's images, 0-based, composes it.
         """
-        try:
-            return self._support_cache[(i, j)]
-        except KeyError:
-            class_of = self._class_of
-            after_rep = operator.itemgetter(*(k - 1 for k in self.classes[i].rep.images))
-            out = frozenset(class_of[after_rep(b.images)] for b in self.classes[j].elements)
-            self._support_cache[(i, j)] = out
-            return out
+        class_of = self._class_of
+        after_rep = operator.itemgetter(*(k - 1 for k in self.classes[i].rep.images))
+        return frozenset(class_of[after_rep(b.images)] for b in self.classes[j].elements)
 
     def normal_closure(self, ids: Iterable[int]) -> frozenset:
         """Class ids of the normal subgroup generated by the given classes.
@@ -680,22 +657,23 @@ class GroupTable:
         A union of classes closed under products is a normal subgroup, so
         the identity class plus ids is closed under product_support.
         """
-        key = frozenset(ids)
-        closed = self._closure_cache.get(key)
-        if closed is None:
-            members = set(key)
-            members.add(self.identity_class_id())
-            pending = list(members)
-            while pending:
-                i = pending.pop()
-                for j in list(members):
-                    for k in self.product_support(i, j):
-                        if k not in members:
-                            members.add(k)
-                            pending.append(k)
-            closed = self._closure_cache[key] = frozenset(members)
-        return closed
+        return self._normal_closure(frozenset(ids))
 
+    @functools.cache
+    def _normal_closure(self, ids: frozenset) -> frozenset:
+        members = set(ids)
+        members.add(self.identity_class_id())
+        pending = list(members)
+        while pending:
+            i = pending.pop()
+            for j in list(members):
+                for k in self.product_support(i, j):
+                    if k not in members:
+                        members.add(k)
+                        pending.append(k)
+        return frozenset(members)
+
+    @functools.cache
     def commutator_class_ids(self) -> frozenset:
         """Class ids of single commutators [a, b].
 
@@ -703,43 +681,38 @@ class GroupTable:
         a^-1 as b runs over the group, so the commutators [a, b] with a in
         class C land in product_support(C, class of rep_C^-1).
         """
-        if self._commutator_class_ids is None:
-            found = set()
-            for ci, cl in enumerate(self.classes):
-                found |= self.product_support(ci, self.class_id(cl.rep.inverse()))
-            self._commutator_class_ids = frozenset(found)
-        return self._commutator_class_ids
+        found = set()
+        for ci, cl in enumerate(self.classes):
+            found |= self.product_support(ci, self.class_id(cl.rep.inverse()))
+        return frozenset(found)
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {p.images: i for i, p in enumerate(self.elements)}
+
+    @functools.cache
     def join(self, mask: int, x: Perm) -> int:
         """Bitmask of <H, x>, where `mask` is the bitmask of H.
 
         H must be trivial_mask or a mask join returned, since each mask
         keeps the generators it was closed from.  The closure expands H's
         elements breadth-first on image tuples and stops with full_mask once
-        more than half the group is found (Lagrange).  Memoized per
-        (mask, x).
+        more than half the group is found (Lagrange).
         """
-        key = (mask, x.images)
-        out = self._join_cache.get(key)
-        if out is None:
-            if self._index is None:
-                self._index = {p.images: i for i, p in enumerate(self.elements)}
-            index = self._index
-            if mask >> index[x.images] & 1:
-                out = mask
-            else:
-                gens = self._mask_gens[mask] + ((0,) + x.images,)
-                # bit i of mask is character -1 - i of its binary text
-                seen = {self.elements[i].images
-                        for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}
-                if _close(seen, list(seen), gens, len(self.elements) // 2):
-                    out = 0
-                    for k in seen:
-                        out |= 1 << index[k]
-                else:
-                    out = self.full_mask
-                self._mask_gens.setdefault(out, gens)
-            self._join_cache[key] = out
+        index = self._index
+        if mask >> index[x.images] & 1:
+            return mask
+        gens = self._mask_gens[mask] + ((0,) + x.images,)
+        # bit i of mask is character -1 - i of its binary text
+        seen = {self.elements[i].images
+                for i, bit in enumerate(reversed(bin(mask))) if bit == "1"}
+        if _close(seen, list(seen), gens, len(self.elements) // 2):
+            out = 0
+            for k in seen:
+                out |= 1 << index[k]
+        else:
+            out = self.full_mask
+        self._mask_gens.setdefault(out, gens)
         return out
 
     def identity_class_id(self) -> int:
@@ -760,7 +733,7 @@ def _lex_evenness(n: int) -> list:
     return even
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def group_table(spec: GroupSpec) -> GroupTable:
     return GroupTable(spec)
 

@@ -330,6 +330,10 @@ def test_env_override(capsys, monkeypatch):
     ("SACT_JOBS", "two", ["free", "--n", "5", "--genus", "100"]),
     ("SACT_FORMAT", "xml", ["free", "--n", "5", "--genus", "100"]),
     ("SACT_GENUS", "x", ["classify", "--group", "A5"]),
+    ("SACT_BUDGET_NODES", "-1", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_BUDGET_SECONDS", "-3", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_BUDGET_SECONDS", "nan", ["free", "--n", "5", "--genus", "100"]),
+    ("SACT_JOBS", "0", ["free", "--n", "5", "--genus", "100"]),
 ])
 def test_bad_env_value_is_a_usage_error(capsys, monkeypatch, name, value, argv):
     monkeypatch.setenv(name, value)
@@ -340,6 +344,14 @@ def test_bad_env_value_is_a_usage_error(capsys, monkeypatch, name, value, argv):
     assert out == ""
     assert err.startswith("usage: ") and "Traceback" not in err
     assert "invalid" in err and repr(value) in err
+
+
+def test_negative_budget_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--genus", "10", "--all", "--budget-seconds", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid float value: '-1'" in err and "Traceback" not in err
 
 
 def test_jobs_flag_is_deterministic(capsys):

@@ -8,8 +8,9 @@ from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
                            equivalent, format_dataset, handle_solutions,
                            parse_dataset, validate)
 from sact.errors import KindMismatch, ValidationFailure
-from sact.groups import group_table
+from sact.groups import alt, group_table, sym
 from sact.perm import Perm, parse_perm
+from sact.vectors import _feasible_end_ids
 
 
 def icosa():
@@ -204,3 +205,24 @@ def test_equal_data_sets_hash_equal_and_hash_once(monkeypatch):
     hash(ds)
     monkeypatch.setattr(Perm, "__hash__", lambda self: 1 / 0)
     assert hash(ds) == hash(again[3])
+
+
+@pytest.mark.parametrize("spec", [alt(n) for n in range(4, 8)] + [sym(n) for n in range(4, 8)],
+                         ids=str)
+def test_g0_2_rule_is_the_derived_subgroup(spec):
+    """validate's family-by-family g0 >= 2 rule agrees with the table's:
+    one elliptic of class c closes the relation with two handles exactly
+    when c lies in the derived subgroup, the normal closure of the
+    commutators.  validate keeps its own rule for groups with no table."""
+    table = group_table(spec)
+    feasible = _feasible_end_ids(table, 2)
+    for ci, cl in enumerate(table.classes):
+        if cl.rep.is_identity():
+            continue
+        ds = dataset(spec.family, spec.n, 2, [cl.rep])
+        if ci in feasible:
+            assert validate(ds) >= 2
+        else:
+            with pytest.raises(ValidationFailure) as err:
+                validate(ds)
+            assert err.value.condition in ("parity", "witness")

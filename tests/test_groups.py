@@ -533,3 +533,32 @@ def test_least_under_centralizer_is_the_subgroup_centralizer_test(spec):
             else:
                 passed = [p for p in table.elements if least(p.images)]
                 assert passed == _orbit_minima(zs, table.elements)
+
+
+def test_table_lookups_are_memoized_per_table():
+    """A repeated lookup with an equal argument returns the object computed
+    first; another table of the same group computes its own."""
+    spec = sym(5)
+    table = sact.groups.GroupTable(spec)
+    p, x = table.elements[7], table.elements[30]
+    mask = table.join(table.trivial_mask, p)
+    lookups = [
+        lambda t: t.centralizer(Perm(p.images)),
+        lambda t: t.join(mask, Perm(x.images)),
+        lambda t: t.power_class(3, 2),
+        lambda t: t.product_support(2, 3),
+        lambda t: t.least_second(1, 2),
+    ]
+    other = sact.groups.GroupTable(spec)
+    other.join(other.trivial_mask, p)
+    for lookup in lookups:
+        first = lookup(table)
+        assert lookup(table) is first
+        fresh = lookup(other)
+        assert fresh == first
+        if not isinstance(first, int):
+            assert fresh is not first
+    closure = table.normal_closure([2, 3])
+    assert table.normal_closure((3, 2)) is closure
+    assert other.normal_closure([2, 3]) == closure
+    assert other.normal_closure([2, 3]) is not closure
