@@ -222,6 +222,8 @@ def classify_group_rows(family: str, n: int, genus: int,
 
 
 def _classify_targets(args):
+    if args.genus < 2:
+        raise ParseError("genus must be >= 2")
     if args.all:
         bound = 84 * (args.genus - 1)
         targets = []

@@ -17,11 +17,13 @@ and each cone pair is (u^-1 mod t, t) with that multiplicity.
 
 The count and the factor are class functions.  In groups up to order 5040
 (CLOSURE_ORDER_CAP) the factor is read from the class power map and the
-centralizer orders of the group table, in integer arithmetic, once per
-(data set, class of sigma); class_factor serves callers that already hold
-the entry classes and the genus, as the classify rows do.  Larger groups
-have no table built for them and run the direct formula on sigma, which
-fixed_point_count keeps as the reference.
+centralizer orders of the group table, in integer arithmetic: one factor
+table per data set (FactorTable) keeps the factor of every class read so
+far, so a repeated query is a class-id lookup; class_factor serves
+callers that already hold the entry classes and the genus, as the
+classify rows do.  Larger groups have no table built for them and run
+the direct formula on sigma, which fixed_point_count keeps as the
+reference.
 """
 
 from __future__ import annotations
@@ -76,24 +78,13 @@ def cyclic_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
 
     Depends only on the entry classes; the data set is shape-checked, the
     realizability clauses being the caller's business.  Groups of order up
-    to CLOSURE_ORDER_CAP answer once per (data set, class of sigma) from
-    their group table, where one lookup of sigma's image tuple gives its
-    class and proves membership; larger ones, which have no table built
-    for them, run the direct formula on sigma.
+    to CLOSURE_ORDER_CAP answer from the data set's factor table
+    (FactorTable.factor); larger ones, which have no table built for them,
+    run the direct formula on sigma.
     """
-    spec = ds.spec
-    if spec.order <= CLOSURE_ORDER_CAP:
-        table = group_table(spec)
-        try:
-            ci = table.class_id(sigma)
-        except KeyError:
-            # the table lists every member, so this raises
-            require_member(spec, sigma)
-            raise
-        if ci == table.identity_class_id():
-            raise MembershipError(_TRIVIAL)
-        return _class_factor(ds, ci)
-    require_member(spec, sigma)
+    if ds.spec.order <= CLOSURE_ORDER_CAP:
+        return factor_table(ds).factor(sigma)
+    require_member(ds.spec, sigma)
     if sigma.is_identity():
         raise MembershipError(_TRIVIAL)
     return _direct_factor(ds, sigma)
@@ -107,12 +98,54 @@ def _direct_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
     return _unwind(g, d, lambda t, u: fixed_point_count(ds, powers[t], u, t))
 
 
-@functools.lru_cache(maxsize=4096)
-def _class_factor(ds: GroupDataSet, ci: int) -> CyclicDataSet:
-    """cyclic_factor of the elements of class ci of the group table:
-    class_factor of the data set's entry classes, once per (data set, ci)."""
-    table = group_table(ds.spec)
-    return class_factor(table, _structural_genus(ds), class_entries(table, ds.entries), ci)
+class FactorTable:
+    """The cyclic factor of every class of a data set's group table, by
+    class id, each computed by class_factor when it is first read.
+
+    The identity's slot is empty, and so is the slot of any class not read
+    yet or whose counts raise.  Reading the identity's slot raises
+    MembershipError; reading another empty slot computes it, so a class
+    that raised raises again, with the same message, while every other
+    class of the data set still answers.  Membership and the identity are
+    checked before the data set is read, so a bad element is reported
+    ahead of a bad data set.
+    """
+
+    def __init__(self, ds: GroupDataSet):
+        self.ds = ds
+        self.table = group_table(ds.spec)
+        self.identity = self.table.identity_class_id()
+        self._factors = [None] * len(self.table.classes)
+
+    @functools.cached_property
+    def _entries(self) -> tuple:
+        return class_entries(self.table, self.ds.entries)
+
+    def __getitem__(self, ci: int) -> CyclicDataSet:
+        if ci == self.identity:
+            raise MembershipError(_TRIVIAL)
+        factor = self._factors[ci]
+        if factor is None:
+            factor = self._factors[ci] = class_factor(
+                self.table, _structural_genus(self.ds), self._entries, ci)
+        return factor
+
+    def factor(self, sigma: Perm) -> CyclicDataSet:
+        """The factor of sigma's class; one lookup of sigma's image tuple
+        gives the class and proves membership."""
+        try:
+            ci = self.table.class_id(sigma)
+        except KeyError:
+            # the table lists every member, so this raises
+            require_member(self.table.spec, sigma)
+            raise
+        return self[ci]
+
+
+@functools.lru_cache(maxsize=1024)
+def factor_table(ds: GroupDataSet) -> FactorTable:
+    """The data set's FactorTable, one per data set."""
+    return FactorTable(ds)
 
 
 def class_entries(table: GroupTable, entries: Sequence) -> tuple:
@@ -224,19 +257,16 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
         return None
     table = group_table(spec)
     for item in enumerate_weak_classes(spec, genus_f, budget, raise_on_budget=True).items:
-        ds = item.ds
-        sigma_classes = [cl for cl in table.classes
-                         if cl.rep.order() == d_f.degree
-                         and cyclic_factor(ds, cl.rep) == d_f]
+        factors = factor_table(item.ds)
+        sigma_classes = [ci for ci in table.classes_by_order[d_f.degree]
+                         if factors[ci] == d_f]
         if not sigma_classes:
             continue
-        tau_ok = {ci for ci, cl in enumerate(table.classes)
-                  if cl.rep.order() == d_g.degree
-                  and cyclic_factor(ds, cl.rep) == d_g}
+        tau_ok = {ci for ci in table.classes_by_order[d_g.degree] if factors[ci] == d_g}
         if not tau_ok:
             continue
-        for s_class in sigma_classes:
-            sigma = s_class.rep
+        for s_ci in sigma_classes:
+            sigma = table.classes[s_ci].rep
             # one tau per orbit of sigma's centralizer: conjugating the pair
             # by it fixes sigma and keeps generation and tau's class
             least = table.orbit_least(table.centralizer(sigma))
@@ -246,7 +276,7 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
                 if least is not None and not least(tau.images):
                     continue
                 if spans(spec, [sigma, tau]):
-                    return GenerationWitness(ds, sigma, tau)
+                    return GenerationWitness(item.ds, sigma, tau)
     return None
 
 
@@ -308,11 +338,12 @@ def obstruction_report(spec: GroupSpec, g: int,
     report = ObstructionReport(spec, g)
     for item in enumerate_weak_classes(spec, g, budget, raise_on_budget=True).items:
         report.classes_swept += 1
+        factors = factor_table(item.ds)
         rows = []
-        for cl in table.classes:
-            if cl.rep.is_identity():
+        for ci, cl in enumerate(table.classes):
+            if ci == factors.identity:
                 continue
-            factor = cyclic_factor(item.ds, cl.rep)
+            factor = factors[ci]
             rows.append((cl.rep, factor))
             if is_irreducible(factor):
                 report.irreducible.append((item.ds, cl.rep, factor))

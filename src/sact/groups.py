@@ -43,7 +43,7 @@ class GroupSpec:
     def degree(self) -> int:
         return self.n + 2 if self.family == ALT_C2 else self.n
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         if self.family == SYM:
             return math.factorial(self.n)

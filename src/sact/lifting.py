@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Tuple
 
 from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, cone_slots, dataset,
                        validate)
-from .errors import (BudgetExhausted, GenusMismatch, NotIndexTwo,
+from .errors import (BudgetExhausted, GenusMismatch, NotIndexTwo, ParseError,
                      ValidationFailure)
 from .groups import ALT, ALT_C2, SYM, GroupSpec, flip_label, split_alt_c2
 from .orbifold import (CyclicDataSet, Signature, quotient_genus, rh_genus,
@@ -501,10 +501,12 @@ def free_action_analysis(n: int, g: int) -> FreeReport:
     k even extends to a free symmetric action; odd k >= 3 to a branched one;
     k = 1 is reported unknown (it hinges on whether a torus quotient with two
     order-2 cones carries a symmetric action, which this tool does not rule
-    on here).  Raises ParseError for n < 4.
+    on here).  Raises ParseError for n < 4 and for g < 2.
     """
     half = GroupSpec(ALT, n).order
-    if g < 2 or (g - 1) % half != 0:
+    if g < 2:
+        raise ParseError("genus must be >= 2")
+    if (g - 1) % half != 0:
         return FreeReport(n, g, None, "no_free_action")
     k = (g - 1) // half
     free_ds = dataset(ALTERNATING, n, k + 1, [])

@@ -15,6 +15,7 @@ Text grammars:
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import re
@@ -156,11 +157,17 @@ class CyclicDataSet:
     def signature(self) -> Signature:
         return Signature(self.g0, [m for _, m in self.cones])
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
+        # formatted once per instance: a memoized factor is printed each
+        # time it is asked for
         if not self.cones:  # most factors a sweep prints: skip the run scan
             return f"({self.degree},{self.g0};-)"
         return format_runs(self.degree, self.g0,
                            [(f"({c},{m})", k) for (c, m), k in run_lengths(self.cones)])
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def validate_cyclic(d: CyclicDataSet) -> int:

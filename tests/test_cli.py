@@ -253,6 +253,36 @@ def test_obstructions_command(capsys):
     assert payload["clean"] and payload["classes_swept"] == 1
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["obstructions", "--group", "A5", "--genus", "61"], "a889bc11e05e1863"),
+    (["obstructions", "--group", "S5", "--genus", "16"], "24b13e66bf7ad0eb"),
+    (["obstructions", "--group", "A6", "--genus", "46"], "6ba4551941499a59"),
+    (["weakgen", "--group", "A5", "--df", "(3,7;-)",
+      "--dg", "(5,3;(1,5)^[2],(4,5)^[2])"], "6a2ccb7f75acc7c0"),
+    (["weakgen", "--group", "S4", "--df", "(2,0;(1,2)^[22])",
+      "--dg", "(4,1;(1,4)^[3],(3,4)^[3])"], "239afc8b0e934083"),
+])
+def test_factor_sweep_goldens(capsys, argv, digest):
+    """First 16 hex digits of the JSON stdout sha256 of the commands that
+    read every class's cyclic factor, recorded when each factor was still
+    computed per (data set, class) rather than read from a factor table."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--genus", "1", "--all"],
+    ["classify", "--genus", "-5", "--all"],
+    ["free", "--n", "5", "--genus", "-1"],
+    ["free", "--n", "5", "--genus", "0"],
+])
+def test_genus_below_2_is_bad_input(capsys, argv):
+    """No surface of genus below 2 carries these actions: exit 2, as
+    `classify --group A5 --genus 1` and `obstructions --genus 1` do."""
+    assert run(capsys, *argv) == (2, "", "error: genus must be >= 2\n")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "factor", "--group", "A5", "--ds", "garbage",
                        "--standard")

@@ -11,9 +11,9 @@ from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
 from sact.errors import (GenusMismatch, InconsistencyError, MembershipError,
                          NonIntegralError, SactError)
-from sact.factors import (_class_factor, _class_fixed_points, _direct_factor,
-                          cyclic_factor, fixed_point_count,
-                          is_hyperelliptic, is_irreducible,
+from sact.factors import (FactorTable, _class_fixed_points, _direct_factor,
+                          class_factor, cyclic_factor, factor_table,
+                          fixed_point_count, is_hyperelliptic, is_irreducible,
                           obstruction_report, standard_factors,
                           weakly_generates)
 from sact.groups import (CLOSURE_ORDER_CAP, GroupTable, alt, alt_c2,
@@ -265,16 +265,40 @@ def _outcome(fn, *args):
 def test_class_factor_matches_direct_formula_on_every_element():
     data_sets = _factor_data_sets()
     assert {ds.spec.name for ds in data_sets} == {"A4", "A5", "A6", "S4", "S5", "S6"}
-    raised = 0
+    raised = mixed = 0
     for ds in data_sets:
         table = group_table(ds.spec)
+        outcomes = set()
         for x in table.elements:
             if x.is_identity():
                 continue
             want = _outcome(_direct_factor, ds, x)
-            assert _outcome(_class_factor, ds, table.class_id(x)) == want, (ds, x)
+            assert _outcome(cyclic_factor, ds, x) == want, (ds, x)
             raised += not want.startswith("(")
+            outcomes.add(want.startswith("("))
+        mixed += len(outcomes) == 2
     assert raised > 0  # the unrealizable data sets fail alike on both paths
+    assert mixed > 0  # and a class that raises leaves the others answering
+
+
+def test_factor_table_above_the_closure_cap_matches_direct_formula():
+    """weakly_generates and obstruction_report read every group's factors
+    from a FactorTable, also above CLOSURE_ORDER_CAP, where cyclic_factor
+    runs the direct formula; the two agree class by class on A8 and S8,
+    errors included."""
+    raised = 0
+    for text, kind in [("(8,1;[(1 2 3),3;3],[(1 2)(3 4 5 6),4;2,4]^[2])", ALTERNATING),
+                       ("(8,0;[(1 2),2;2],[(1 2 3 4 5 6 7),7;7],[(1 2 3 4 5 6 7 8),8;8])",
+                        SYMMETRIC)]:
+        ds = parse_dataset(text, kind)
+        assert ds.spec.order > CLOSURE_ORDER_CAP
+        factors = FactorTable(ds)
+        for ci, cl in enumerate(factors.table.classes):
+            if ci != factors.identity:
+                want = _outcome(_direct_factor, ds, cl.rep)
+                assert _outcome(factors.__getitem__, ci) == want, (ds, cl.rep)
+                raised += not want.startswith("(")
+    assert raised > 0
 
 
 def test_class_fixed_points_match_fixed_point_count():
@@ -306,15 +330,26 @@ def test_power_class_and_centralizer_order_against_elements():
                 assert table.power_class(ci, k) == table.class_id(cl.rep ** k)
 
 
-def test_class_factor_runs_once_per_class():
+def test_class_factor_runs_once_per_class(monkeypatch):
+    computed = []
+
+    def counted(table, g, entries, ci):
+        computed.append(ci)
+        return class_factor(table, g, entries, ci)
+
+    monkeypatch.setattr(sact.factors, "class_factor", counted)
     ds = parse_dataset(ICOSAHEDRAL_A, ALTERNATING)
     table = group_table(alt(5))
     five = table.classes[table.class_id(parse_perm("(1 2 3 4 5)", 5))]
-    _class_factor.cache_clear()
+    factor_table.cache_clear()
     factors = {str(cyclic_factor(ds, x)) for x in five.elements}
-    info = _class_factor.cache_info()
+    info = factor_table.cache_info()
     assert factors == {"(5,3;(1,5)^[2],(4,5)^[2])"}
     assert (info.misses, info.hits) == (1, five.size - 1)
+    # one table per data set: another class of it is a hit as well
+    assert str(cyclic_factor(ds, parse_perm("(1 2 3)", 5))) == "(3,7;-)"
+    assert factor_table.cache_info().misses == 1
+    assert computed == [table.class_id(five.rep), table.class_id(parse_perm("(1 2 3)", 5))]
 
 
 def _raised(fn, *args):
@@ -375,7 +410,7 @@ def test_factor_genus_check_fires(monkeypatch):
     another genus is an internal inconsistency, raised as an error rather
     than an assert."""
     monkeypatch.setattr(sact.factors, "validate_cyclic", lambda d: validate_cyclic(d) + 1)
-    _class_factor.cache_clear()
+    factor_table.cache_clear()
     with pytest.raises(InconsistencyError,
                        match=r"factor \(5,3;\(1,5\)\^\[2\],\(4,5\)\^\[2\]\) has genus 20, not 19"):
         cyclic_factor(icosa(), parse_perm("(1 2 3 4 5)", 5))

@@ -344,10 +344,12 @@ def test_realizability_is_arrangement_independent():
 def test_degree6_outer_automorphism_pairs_stay_apart():
     """Weak classes are identified up to the split-class flip, which is
     conjugation in Sym(n) and so all of Aut(G) except at n = 6.  An outer
-    automorphism of Sym(6) carries the class multiset of one A6 row with
-    signature (0;3,4,5) at g = 40 onto the other's, and the key keeps them
-    apart.  Change this only together with the goldens, if weak conjugacy
-    is ever taken up to all of Aut(G)."""
+    automorphism of Sym(6) carries the class multiset of one row onto the
+    other's in three pairs: the A6 rows with signature (0;3,4,5) at g = 40,
+    the A6 rows with (0;3,5,5) at g = 49 and the S6 rows with (0;2,5,6) at
+    g = 49, a tier-1 golden genus.  The key keeps each pair apart.  Change
+    this only together with the goldens, if weak conjugacy is ever taken up
+    to all of Aut(G)."""
     s6 = group_table(sym(6))
     s, t = sym(6).standard_generators()
     # (1 2) -> (1 2)(3 4)(5 6) and (1 2 3 4 5 6) -> (2 3)(4 5 6), extended
@@ -370,13 +372,16 @@ def test_degree6_outer_automorphism_pairs_stay_apart():
     assert len(set(phi.values())) == len(s6.elements)
     assert phi[s].cycle_type() != s.cycle_type()  # not inner
 
-    a6 = group_table(alt(6))
-    items = enumerate_weak_classes(alt(6), 40, signatures=[Signature(0, [3, 4, 5])]).items
-    assert len(items) == 2
-    first, second = (sorted(item.key) for item in items)
-    image = sorted(a6.class_id(phi[a6.classes[ci].rep]) for ci in first)
-    assert image == second
-    assert items[0].key != items[1].key
+    for spec, g, sig in [(alt(6), 40, Signature(0, [3, 4, 5])),
+                         (alt(6), 49, Signature(0, [3, 5, 5])),
+                         (sym(6), 49, Signature(0, [2, 5, 6]))]:
+        table = group_table(spec)
+        items = enumerate_weak_classes(spec, g, signatures=[sig]).items
+        assert len(items) == 2, (spec.name, g)
+        first, second = (sorted(item.key) for item in items)
+        image = sorted(table.class_id(phi[table.classes[ci].rep]) for ci in first)
+        assert image == second, (spec.name, g)
+        assert items[0].key != items[1].key
 
 
 def test_free_actions_and_family_case():
