@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from . import cache as result_cache
 from .datasets import (ALTERNATING, GroupDataSet, canonical_entries, class_slots,
-                       format_dataset, parse_dataset, validate)
+                       format_dataset, parse_dataset)
 from .errors import BudgetExhausted, InconsistencyError, ParseError, SactError
 from .factors import (class_entries, class_factor, cyclic_factor,
                       obstruction_report, standard_factors, weakly_generates)
@@ -32,7 +32,8 @@ from .lifting import (InvolutionDescent, decide_lift, free_action_analysis,
                       self_normalizing)
 from .orbifold import parse_cyclic
 from .perm import parse_perm
-from .vectors import SearchBudget, checked_vector, enumerate_weak_classes
+from .vectors import (SearchBudget, checked_vector, enumerate_weak_classes,
+                      resolved_representative)
 
 EXIT_OK, EXIT_PIPE, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -301,9 +302,11 @@ def cmd_weakgen(args) -> int:
 
 def cmd_factor(args) -> int:
     spec = _dataset_group(args)
-    ds = parse_dataset(args.ds, spec.family)
-    validate(ds, structure_only=True)
-    payload = {"command": "factor", "group": spec.name, "data_set": format_dataset(ds)}
+    given = parse_dataset(args.ds, spec.family)
+    # a display form (classify's canonical rows) need not close the long
+    # relation; a class pattern that nothing realizes is bad input
+    ds = resolved_representative(given)
+    payload = {"command": "factor", "group": spec.name, "data_set": format_dataset(given)}
     if args.standard:
         f_sigma, f_tau = standard_factors(ds)
         payload["factor_sigma"] = str(f_sigma)
@@ -373,13 +376,21 @@ def cmd_cache(args) -> int:
 # rendering
 
 
+def _field(value) -> str:
+    """A text or csv field: a list or dict as JSON with sorted keys, any
+    other value as str()."""
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, sort_keys=True)
+    return str(value)
+
+
 def _print_csv(columns, records) -> None:
     """An unquoted header, then one row per record with every field quoted
-    (embedded quotes doubled) and written as str() of the value."""
+    (embedded quotes doubled) and written by _field."""
     print(",".join(columns))
     writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n")
     for record in records:
-        writer.writerow([str(record[c]) for c in columns])
+        writer.writerow([_field(record[c]) for c in columns])
 
 
 def _emit(args, payload: dict, columns=None) -> None:
@@ -407,7 +418,7 @@ def _emit(args, payload: dict, columns=None) -> None:
     for key in sorted(payload):
         if key == "command":
             continue
-        print(f"{key}: {payload[key]}")
+        print(f"{key}: {_field(payload[key])}")
 
 
 def main(argv=None) -> int:

@@ -8,13 +8,19 @@ subject to the long relation
 
 and joint generation of the whole group.
 
-The search is keyed by conjugacy-class tuples first.  With quotient genus 0
-a class tuple whose normal closure (GroupTable.normal_closure) is a proper
-normal subgroup cannot generate and is dropped before any search; the rest
-have their per-position class choices pruned by exact class-product
-reachability, then representatives are filled in by depth-first search with
-the last elliptic forced (quotient genus 0) or the handles solved by an
-exhaustive commutator scan (genus >= 1, datasets.handle_solutions).
+The search is keyed by conjugacy-class tuples first.  Let N be the normal
+closure of a tuple's classes (GroupTable.normal_closure).  In G/N every
+elliptic is trivial, so the handle images generate G/N and satisfy the long
+relation there: with quotient genus 0, G/N is trivial and N must be the
+whole group; with quotient genus 1, G/N is generated by a commuting pair, so
+it is abelian and N must contain the derived subgroup.  A tuple whose N
+misses what its quotient genus requires (_closure_needs) cannot generate
+and is dropped before any search, at no node, so a budget-limited run
+spends fewer nodes; the rest have their per-position class choices pruned
+by exact class-product reachability, then representatives are filled in by
+depth-first search with the last elliptic forced (quotient genus 0) or the
+handles solved by an exhaustive commutator scan (genus >= 1,
+datasets.handle_solutions).
 
 Below position i the subtree depends only on i, the partial product and,
 for quotient genus 0 or 1, the subgroup H the chosen elliptics generate,
@@ -156,6 +162,18 @@ def _feasible_end_ids(table, g0: int) -> frozenset:
     return table.normal_closure(table.commutator_class_ids())
 
 
+@functools.lru_cache(maxsize=4096)
+def _closure_needs(table, g0: int) -> frozenset:
+    """Class ids that the normal closure of a class tuple must contain for
+    the tuple to generate (see the module docstring): every class at
+    g0 = 0, the derived subgroup at g0 = 1, none at g0 >= 2."""
+    if g0 == 0:
+        return frozenset(range(len(table.classes)))
+    if g0 == 1:
+        return _feasible_end_ids(table, 2)
+    return frozenset()
+
+
 @functools.lru_cache(maxsize=1 << 14)
 def _reach_before(table, class_id: int, after: frozenset) -> frozenset:
     """Class ids x such that an element of class x times one of class_id
@@ -179,8 +197,8 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
     vector, so this is complete for existence questions.
     """
     table = group_table(spec)
-    if g0 == 0 and len(table.normal_closure(class_ids)) < len(table.classes):
-        # every image lies in a proper normal subgroup: nothing generates
+    needed = _closure_needs(table, g0)
+    if needed and not needed <= table.normal_closure(class_ids):
         return
     r = len(class_ids)
     sig = Signature(g0, [table.class_orders[c] for c in class_ids])

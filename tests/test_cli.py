@@ -227,6 +227,54 @@ def test_factor_standard(capsys):
     assert payload["factor_sigma"] == "(3,7;-)"
 
 
+@pytest.mark.parametrize("group,ds,element", [
+    ("S4", "(4,0;[(1 2),2;2]^[3],[(1 2 3 4),4;4]^[2])", "(1 2 3 4)"),
+    ("S4", "(4,0;[(1 2)(3 4),2;2,2]^[5])", "(1 2)(3 4)"),
+])
+def test_factor_of_an_unrealizable_class_pattern_is_bad_input(capsys, group, ds, element):
+    """No vector has these classes, so the data set is bad input with
+    validate's message, not an inconsistency in the factor arithmetic."""
+    assert run(capsys, "factor", "--group", group, "--ds", ds, "--element", element) == \
+        (2, "", "error: product: entry product is not the identity\n")
+
+
+def test_factor_answers_on_classify_rows(capsys):
+    """A classify row's data set is a display form whose entries need not
+    multiply to the identity; factor reads it, prints it back unchanged
+    and agrees with the row's standard factors."""
+    code, out, _ = run(capsys, "classify", "--genus", "10", "--group", "S4",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows
+    for row in rows:
+        code, out, _ = run(capsys, "factor", "--group", "S4", "--ds", row["data_set"],
+                           "--standard", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["data_set"] == row["data_set"]
+        assert (payload["factor_sigma"], payload["factor_tau"]) == \
+            (row["factor_sigma"], row["factor_tau"])
+
+
+def test_nested_values_print_as_json(capsys):
+    """text and csv print a list or dict value as JSON with sorted keys."""
+    argv = ["obstructions", "--group", "S3", "--genus", "2"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    want = json.loads(out)["factor_tables"]
+    assert want
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    line, = [x for x in out.splitlines() if x.startswith("factor_tables: ")]
+    assert json.loads(line[len("factor_tables: "):]) == want
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    record, = csv.DictReader(out.splitlines())
+    assert json.loads(record["factor_tables"]) == want
+    assert json.loads(record["hyperelliptic"]) == []
+
+
 def test_lift_command(capsys):
     code, out, _ = run(capsys, "lift", "--group", "A4",
                        "--ds", "(4,1;[(1 2)(3 4),2;2,2]^[2])",

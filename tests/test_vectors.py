@@ -545,12 +545,52 @@ def test_second_elliptic_rule_fires(monkeypatch):
 
 
 def test_handle_scan_rule_fires(monkeypatch):
-    """S4@7 finishes in 62 nodes only because its g0 = 1 handle scans skip
+    """A5@16 finishes in 39 nodes only because its g0 = 1 handle scans skip
     every r2 that the common centralizer of the elliptics moves to a
     smaller element; scanning every r2 needs more."""
-    assert enumerate_weak_classes(sym(4), 7, budget=SearchBudget(max_nodes=62)).complete
+    assert enumerate_weak_classes(alt(5), 16, budget=SearchBudget(max_nodes=39)).complete
     monkeypatch.setattr(GroupTable, "least_under_centralizer", lambda self, mask: None)
-    assert not enumerate_weak_classes(sym(4), 7, budget=SearchBudget(max_nodes=62)).complete
+    assert not enumerate_weak_classes(alt(5), 16, budget=SearchBudget(max_nodes=39)).complete
+
+
+def _without_abelian_quotient_rule(monkeypatch):
+    """Patch out the g0 = 1 closure rule; the g0 = 0 rule stays."""
+    needs = sact.vectors._closure_needs
+    monkeypatch.setattr(sact.vectors, "_closure_needs",
+                        lambda table, g0: frozenset() if g0 == 1 else needs(table, g0))
+
+
+ABELIAN_QUOTIENT_RANGES = [(alt(4), 25), (sym(4), 25), (alt(5), 21), (sym(5), 21),
+                           (alt_c2(4), 13)]
+
+
+@pytest.mark.parametrize("spec,top", ABELIAN_QUOTIENT_RANGES,
+                         ids=[f"{s.name}@2-{top}" for s, top in ABELIAN_QUOTIENT_RANGES])
+def test_abelian_quotient_rule_matches_the_search_without_it(spec, top, monkeypatch):
+    """Dropping g0 = 1 class tuples whose normal closure misses the derived
+    subgroup changes no weak class, no key and no witness vector."""
+    ruled = [_weak_class_rows(spec, g, None) for g in range(2, top + 1)]
+    _without_abelian_quotient_rule(monkeypatch)
+    assert [_weak_class_rows(spec, g, None) for g in range(2, top + 1)] == ruled
+
+
+def test_abelian_quotient_rule_fires(monkeypatch):
+    """S4 on (1;2,2,2) with every elliptic of type (2,2): the classes close
+    to V_4, whose quotient S_3 is not abelian, so the rule settles the tuple
+    before any node; without it the search has to prove it empty."""
+    table = group_table(sym(4))
+    v4 = table.class_by_key[((2, 2),)]
+
+    def nodes():
+        clock = sact.vectors._Clock(None)
+        found = list(sact.vectors._vectors_for_classes(sym(4), 1, (v4,) * 3, clock,
+                                                       normalize_first=True))
+        assert found == []
+        return clock.nodes
+
+    assert nodes() == 0
+    _without_abelian_quotient_rule(monkeypatch)
+    assert nodes() > 0
 
 
 @pytest.mark.parametrize("spec,g,sigs", COVERED_PAIRS,
