@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from . import cache as result_cache
 from .datasets import (ALTERNATING, GroupDataSet, canonical_entries, class_slots,
-                       format_dataset, parse_dataset)
+                       format_dataset, parse_dataset, validate)
 from .errors import BudgetExhausted, InconsistencyError, ParseError, SactError
 from .factors import (class_entries, class_factor, cyclic_factor,
                       obstruction_report, standard_factors, weakly_generates)
@@ -32,8 +32,7 @@ from .lifting import (InvolutionDescent, decide_lift, free_action_analysis,
                       self_normalizing)
 from .orbifold import parse_cyclic
 from .perm import parse_perm
-from .vectors import (SearchBudget, checked_vector, enumerate_weak_classes,
-                      resolved_representative)
+from .vectors import SearchBudget, checked_vector, enumerate_weak_classes
 
 EXIT_OK, EXIT_PIPE, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -302,21 +301,27 @@ def cmd_weakgen(args) -> int:
 
 def cmd_factor(args) -> int:
     spec = _dataset_group(args)
-    given = parse_dataset(args.ds, spec.family)
-    # a display form (classify's canonical rows) need not close the long
-    # relation; a class pattern that nothing realizes is bad input
-    ds = resolved_representative(given)
-    payload = {"command": "factor", "group": spec.name, "data_set": format_dataset(given)}
-    if args.standard:
-        f_sigma, f_tau = standard_factors(ds)
-        payload["factor_sigma"] = str(f_sigma)
-        payload["factor_tau"] = str(f_tau)
-    elif args.element:
-        element = parse_perm(args.element, spec.degree)
-        payload["element"] = str(element)
-        payload["factor"] = str(cyclic_factor(ds, element))
-    else:
-        raise ParseError("factor needs --element or --standard")
+    ds = parse_dataset(args.ds, spec.family)
+    # shape only: a display form (classify's canonical rows) need not close
+    # the long relation, and the factor depends only on the entry classes
+    validate(ds, structure_only=True)
+    payload = {"command": "factor", "group": spec.name, "data_set": format_dataset(ds)}
+    try:
+        if args.standard:
+            f_sigma, f_tau = standard_factors(ds)
+            payload["factor_sigma"] = str(f_sigma)
+            payload["factor_tau"] = str(f_tau)
+        elif args.element:
+            element = parse_perm(args.element, spec.degree)
+            payload["element"] = str(element)
+            payload["factor"] = str(cyclic_factor(ds, element))
+        else:
+            raise ParseError("factor needs --element or --standard")
+    except InconsistencyError:
+        # the counts are exact for any class pattern some vector realizes, so
+        # this one is realized by none: report validate's reason (bad input)
+        validate(ds)
+        raise
     _emit(args, payload)
     return EXIT_OK
 

@@ -640,20 +640,15 @@ class GroupTable:
         """Order of the centralizer of any element of class ci."""
         return self.spec.order // self.classes[ci].size
 
+    @functools.cache
     def product_support(self, i: int, j: int) -> frozenset:
         """Class ids reachable as products: {class(a*b) : a in C_i, b in C_j}.
 
-        class(a*b) = class(b*a), so the answer is symmetric in i and j and
-        is memoized once per unordered pair.
+        class(a*b) = class(b*a), so the answer is symmetric in i and j, and
+        b * rep runs over those classes as b runs over one class and rep is
+        the other class's representative: the smaller class is scanned.
+        itemgetter at rep's images, 0-based, composes the product.
         """
-        return self._product_support(i, j) if i <= j else self._product_support(j, i)
-
-    @functools.cache
-    def _product_support(self, i: int, j: int) -> frozenset:
-        """product_support for i <= j.  b * rep runs over the product's
-        classes as b runs over one class and rep is the other class's
-        representative, so the smaller class is scanned; itemgetter at
-        rep's images, 0-based, composes the product."""
         scanned, other = self.classes[i], self.classes[j]
         if scanned.size > other.size:
             scanned, other = other, scanned

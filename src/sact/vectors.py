@@ -162,7 +162,6 @@ def _feasible_end_ids(table, g0: int) -> frozenset:
     return table.normal_closure(table.commutator_class_ids())
 
 
-@functools.lru_cache(maxsize=4096)
 def _closure_needs(table, g0: int) -> frozenset:
     """Class ids that the normal closure of a class tuple must contain for
     the tuple to generate (see the module docstring): every class at

@@ -12,6 +12,7 @@ import pytest
 from sact import cache as result_cache
 from sact import cli
 from sact.cli import CACHE_SCHEMA, _emit, main
+from sact.groups import GroupTable
 from sact.perm import Perm
 
 
@@ -255,6 +256,29 @@ def test_factor_answers_on_classify_rows(capsys):
         assert payload["data_set"] == row["data_set"]
         assert (payload["factor_sigma"], payload["factor_tau"]) == \
             (row["factor_sigma"], row["factor_tau"])
+
+
+@pytest.mark.parametrize("group,ask,want", [
+    ("S9", ["--element", "(1 2 3)"], {"factor": "(3,39841;(1,3)^[720],(2,3)^[720])"}),
+    ("S9", ["--standard"], {"factor_sigma": "(2,60481;-)", "factor_tau": "(9,13441;-)"}),
+    ("A8", ["--element", "(1 2 3)"], {"factor": "(3,2201;(1,3)^[60],(2,3)^[60])"}),
+])
+def test_factor_above_the_closure_cap_builds_no_table(capsys, monkeypatch, group, ask, want):
+    """A valid quotient-genus-1 data set of a group above CLOSURE_ORDER_CAP
+    is answered by the direct formula: its witness clause and a search for
+    a realizing vector would need an element table, which is not built
+    (S9 is above the table cap)."""
+    def no_table(self, spec):
+        raise AssertionError(f"element table of {spec.name} built")
+
+    monkeypatch.setattr(GroupTable, "__init__", no_table)
+    ds = f"({group[1:]},1;[(1 2 3),3;3])"
+    code, out, _ = run(capsys, "factor", "--group", group, "--ds", ds, *ask,
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["data_set"] == ds
+    assert {key: payload[key] for key in want} == want
 
 
 def test_nested_values_print_as_json(capsys):
