@@ -155,8 +155,7 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
 
 
 def handle_solutions(spec: GroupSpec, g0: int, elliptic: Sequence[Perm],
-                     product: Perm, tick: Optional[Callable[[], None]] = None,
-                     least: Optional[Callable[[tuple], bool]] = None
+                     product: Perm, tick: Optional[Callable[[], None]] = None
                      ) -> Iterator[tuple]:
     """All handle tuples closing s_1 .. s_r [a_1,b_1] .. [a_g0,b_g0] = 1.
 
@@ -168,19 +167,13 @@ def handle_solutions(spec: GroupSpec, g0: int, elliptic: Sequence[Perm],
     presentations for the second pair and pads the rest with identity pairs.
     The scans are exhaustive, so an empty result is a proof of absence.
     `tick` runs once per scanned presentation.
-
-    At g0 = 1, `least` may be GroupTable.orbit_least of a group Z that
-    centralizes every elliptic; then only the r2 it passes are scanned.
-    Conjugating a solution by z in Z fixes the elliptics and the product,
-    so every solution skipped is conjugate to one kept, and the first
-    solution of the full scan is kept.
     """
     if g0 == 0:
         if product.is_identity() and spans(spec, elliptic):
             yield ()
         return
     if g0 == 1:
-        for r1, r2 in commutator_witnesses(spec, product, least):
+        for r1, r2 in commutator_witnesses(spec, product):
             if tick is not None:
                 tick()
             if spans(spec, list(elliptic) + [r1, r2]):

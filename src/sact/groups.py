@@ -617,20 +617,6 @@ class GroupTable:
         return tuple(x for x in out if least(x.images))
 
     @functools.cache
-    def least_under_centralizer(self, mask: int) -> Optional[Callable[[tuple], bool]]:
-        """orbit_least for the centralizer of the subgroup with bitmask
-        `mask` (trivial_mask or a mask join returned).
-
-        The centralizer of a subgroup is the common centralizer of any set
-        that generates it, here the generators the mask was closed from.
-        """
-        zs = self.elements
-        for padded in self._mask_gens[mask]:
-            commuting = {z.images for z in self.centralizer(Perm._trusted(padded[1:]))}
-            zs = [z for z in zs if z.images in commuting]
-        return self.orbit_least(zs)
-
-    @functools.cache
     def power_class(self, ci: int, k: int) -> int:
         """Class id of rep ** k for the representative of class ci: the
         power map, a class function."""
@@ -757,23 +743,19 @@ def commutator_witness(spec: GroupSpec, target: Perm) -> Optional[tuple]:
     return None
 
 
-def commutator_witnesses(spec: GroupSpec, target: Perm,
-                         least: Optional[Callable[[tuple], bool]] = None):
+def commutator_witnesses(spec: GroupSpec, target: Perm):
     """All commutator presentations of target, lazily, in deterministic order.
 
     [r1, r2] = target is solved as r1 r2 r1^-1 = target * r2, so for each r2
     the candidates r1 run over one conjugator times the centralizer of r2.
     r2 and target * r2 share a table class, so the conjugator exists, and
-    it and the centralizer lie in the group, so every r1 does.  With
-    `least`, a test on image tuples, only the r2 that pass it are scanned.
+    it and the centralizer lie in the group, so every r1 does.
     """
     require_member(spec, target)
     table = group_table(spec)
     for r2 in table.elements:
         c = target * r2
         if table.class_id(c) != table.class_id(r2):
-            continue
-        if least is not None and not least(r2.images):
             continue
         c0 = conjugator_in_group(spec, r2, c)
         for z in table.centralizer(r2):

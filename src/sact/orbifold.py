@@ -46,10 +46,6 @@ class Signature:
     def r(self) -> int:
         return len(self.periods)
 
-    def area_term(self) -> Fraction:
-        """2 - 2*g0 - sum(1 - 1/m), the Euler characteristic of the orbifold."""
-        return Fraction(2 - 2 * self.g0) - sum(Fraction(m - 1, m) for m in self.periods)
-
     def __str__(self) -> str:
         body = ",".join(str(m) for m in self.periods) if self.periods else "-"
         return f"({self.g0};{body})"

@@ -37,17 +37,14 @@ least, in element order, in their orbit under conjugation by the
 centralizer of what is already fixed.  The first elliptic is pinned to its
 class representative, so the second runs over the orbit-least elements of
 its class under that representative's centralizer
-(GroupTable.least_second); a genus-1 leaf scans only the handle elements r2
-that are least under the common centralizer of the chosen elliptics
-(GroupTable.least_under_centralizer).  Conjugating a solution by such an
-element keeps every fixed choice and the partial product and gives a
-solution with a smaller entry at the branch point, so a subtree has a
-solution exactly when its pruned subtree has one: dead-state records stay
-exact, and the first solution in DFS order, which is orbit-least at every
-pruned position, is the one found.  Pruned choices cost no node.  At genus
->= 2 the leaf pins the first handle pair, which conjugation moves, so
-those searches, and the full listings (enumerate_vectors,
-vectors_for_dataset), are not pruned.
+(GroupTable.least_second).  Conjugating a solution by such an element
+keeps the first elliptic and gives a solution with a smaller second one, so
+a subtree has a solution exactly when its pruned subtree has one:
+dead-state records stay exact, and the first solution in DFS order, whose
+second elliptic is orbit-least, is the one found.  Pruned choices cost no
+node.  At genus >= 2 the leaf pins the first handle pair, which
+conjugation moves, so those searches, and the full listings
+(enumerate_vectors, vectors_for_dataset), are not pruned.
 
 Weak classes are keyed by class multisets.  Two multisets are one weak
 class when the global split-class flip (GroupTable.flip), conjugation by
@@ -63,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
@@ -228,8 +226,7 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
             if group == table.full_mask:
                 yield GeneratingVector(spec, sig, tuple(chosen), ())
             return
-        least = table.least_under_centralizer(group) if prune else None
-        for handles in handle_solutions(spec, g0, chosen, product, clock.tick, least):
+        for handles in handle_solutions(spec, g0, chosen, product, clock.tick):
             yield GeneratingVector(spec, sig, tuple(chosen), handles)
 
     def steps(i: int, partial: Perm) -> Iterator[tuple]:
@@ -315,7 +312,9 @@ def enumerate_vectors(spec: GroupSpec, sig: Signature,
     for m in sig.periods:
         if m not in orders:
             raise PeriodNotRealizable(f"{spec.name} has no element of order {m}")
-    if sig.area_term() >= 0:
+    # hyperbolic: 2 - 2*g0 - sum(1 - 1/m) < 0, multiplied through by the lcm
+    lcm = math.lcm(*sig.periods)
+    if (2 - 2 * sig.g0) * lcm >= sum((m - 1) * (lcm // m) for m in sig.periods):
         raise ParseError(f"signature {sig} is not hyperbolic")
     table = group_table(spec)
     clock = _Clock(budget)

@@ -517,27 +517,6 @@ def test_least_second_of_a_transposition_in_sym6():
     assert len(table.least_second(c0, c1)) == 5
 
 
-@pytest.mark.parametrize("spec", [sym(4), alt(5), alt_c2(4)], ids=str)
-def test_least_under_centralizer_is_the_subgroup_centralizer_test(spec):
-    """The test passes exactly the orbit minima under the elements that
-    commute with every chosen element, and is None when they are central."""
-    table = sact.groups.GroupTable(spec)
-    center = [z for z in table.elements if all(z * x == x * z for x in table.elements)]
-    rng = random.Random(11)
-    for _ in range(20):
-        mask, chosen = table.trivial_mask, []
-        for x in rng.sample(table.elements, 3):
-            mask = table.join(mask, x)
-            chosen.append(x)
-            zs = [z for z in table.elements if all(z * y == y * z for y in chosen)]
-            least = table.least_under_centralizer(mask)
-            if len(zs) == len(center):
-                assert least is None
-            else:
-                passed = [p for p in table.elements if least(p.images)]
-                assert passed == _orbit_minima(zs, table.elements)
-
-
 def test_table_lookups_are_memoized_per_table():
     """A repeated lookup with an equal argument returns the object computed
     first; another table of the same group computes its own."""

@@ -31,15 +31,13 @@ def test_rh_genus_non_integral():
 
 
 def test_rh_genus_monotone_in_area():
+    """A larger last period means a more negative orbifold area, so a
+    larger genus at the same group order."""
     sigs = [Signature(0, [2, 2, 2, 3]), Signature(0, [2, 2, 2, 4]),
             Signature(0, [2, 2, 2, 5])]
-    areas = [s.area_term() for s in sigs]
-    assert areas == sorted(areas, reverse=True)
-    genera = []
-    for s in sigs:
-        two_minus = 120 * s.area_term()
-        genera.append((2 - two_minus) / 2)
-    assert genera == sorted(genera)
+    genera = [rh_genus(120, s) for s in sigs]
+    assert None not in genera
+    assert genera == sorted(set(genera))
 
 
 def test_enumerate_signatures_known_cases():
