@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import KindMismatch, ParseError, ValidationFailure
 from .groups import (ALT, SYM, GroupSpec, GroupTable, commutator_witnesses,
-                     flip_label, generates, group_table, spans, split_label)
+                     flip_label, generates, spans, split_label)
 from .orbifold import Signature, format_runs, parse_runs, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
@@ -91,9 +91,7 @@ def dataset(kind: str, n: int, g0: int, reps_with_mult: Sequence) -> GroupDataSe
     """Build a data set from (rep, mult) pairs or bare reps."""
     entries = []
     for item in reps_with_mult:
-        if isinstance(item, Entry):
-            entries.append(item)
-        elif isinstance(item, Perm):
+        if isinstance(item, Perm):
             entries.append(make_entry(item))
         else:
             rep, mult = item
@@ -239,19 +237,27 @@ def equivalent(a: GroupDataSet, b: GroupDataSet) -> bool:
 
 
 def class_representative(kind: str, n: int, ctype: CycleType, label: str) -> Perm:
-    """Least permutation in the named class.
+    """Least permutation in the named class, built without a group table.
 
-    The least permutation of a cycle type lies in the "plus" class by
-    definition; the "minus" class is named by its key in the Alt(n) table,
-    whose classes list their least element first.
+    The least permutation p of a cycle type lies in the "plus" class by
+    definition.  For a split type the least element of the "minus" class
+    is q = t p t with t = (n-1 n):
+    - a split type has distinct odd cycle lengths and at most one fixed
+      point, so p's longest cycle (a ... n) has length >= 3 and ends at n;
+      t is odd, and a split class's Sym-centralizer is even, so every
+      Sym-conjugator from p to q is odd and q lies in the other Alt-class;
+    - q first differs from p at n-2, where the image rises from n-1 to n;
+      then q maps n-1 to a and n to n-1;
+    - any other permutation of the type first exceeds p somewhere: before
+      n-2 that makes it larger than q; at n-2 it maps n-2 to n, and then it
+      is q or it fixes n-1, which is larger; after n-2 the only change
+      left fixes n, which is another type.
     """
+    least = least_perm_of_type(ctype)
     if kind == SYMMETRIC or label in ("whole", "plus"):
-        return least_perm_of_type(ctype)
-    table = group_table(GroupSpec(ALT, n))
-    ci = table.class_by_key.get((ctype.parts, "minus"))
-    if ci is None:
-        raise ValidationFailure("order-mismatch", f"no minus class for type {ctype}")
-    return table.classes[ci].rep
+        return least
+    t = Perm.from_cycles([(n - 1, n)], n)
+    return t * least * t
 
 
 def canonical_entries(kind: str, n: int, slots: Sequence[tuple]) -> Tuple[Entry, ...]:

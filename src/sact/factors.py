@@ -273,7 +273,7 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
             for tau in table.elements:
                 if table.class_id(tau) not in tau_ok:
                     continue
-                if least is not None and not least(tau.images):
+                if not least(tau.images):
                     continue
                 if spans(spec, [sigma, tau]):
                     return GenerationWitness(item.ds, sigma, tau)

@@ -164,8 +164,6 @@ def conjugator_in_sym(a: Perm, b: Perm) -> Optional[Perm]:
     Cycles of equal length (fixed points included) are aligned in order of
     least element, which makes the choice deterministic.
     """
-    if a.degree != b.degree:
-        return None
     if a.cycle_type() != b.cycle_type():
         return None
 
@@ -216,11 +214,13 @@ def are_conjugate(spec: GroupSpec, a: Perm, b: Perm) -> bool:
     return wa == wb and are_conjugate(GroupSpec(ALT, spec.n), a0, b0)
 
 
-def _odd_centralizer_element(p: Perm) -> Optional[Perm]:
-    """An odd permutation commuting with p, if one exists.
+def _odd_centralizer_element(p: Perm) -> Perm:
+    """An odd permutation commuting with p, an even permutation whose class
+    does not split in Alt(n).
 
-    Exists exactly when p's class does not split: an even-length cycle of p,
-    a swap of two equal-length odd cycles, or a swap of two fixed points.
+    Such a class has an even-length cycle, two fixed points, or two odd
+    cycles of equal length, and each gives one: the cycle itself, the swap
+    of the fixed points, or the swap of the two cycles.
     """
     n = p.degree
     cycles = list(p.cycles())
@@ -237,28 +237,26 @@ def _odd_centralizer_element(p: Perm) -> Optional[Perm]:
             # swapping two odd-length cycles costs len(c) transpositions
             return Perm.from_cycles(list(zip(other, c)), n)
         by_len[len(c)] = c
-    return None
 
 
-def conjugator_in_group(spec: GroupSpec, a: Perm, b: Perm) -> Optional[Perm]:
-    """Some c in the group with c a c^-1 = b, or None.  a and b must be
-    members of the group."""
-    if spec.family == SYM:
-        return conjugator_in_sym(a, b)
-    if spec.family == ALT:
-        c = conjugator_in_sym(a, b)
-        if c is None:
-            return None
-        if c.is_even():
-            return c
-        z = _odd_centralizer_element(a)
-        return c * z if z is not None else None
-    a0, wa = split_alt_c2(a)
-    b0, wb = split_alt_c2(b)
-    if wa != wb:
-        return None
-    c0 = conjugator_in_group(GroupSpec(ALT, spec.n), a0, b0)
-    return embed_alt_c2(c0, False) if c0 is not None else None
+def conjugator_in_group(spec: GroupSpec, a: Perm, b: Perm) -> Perm:
+    """Some c in the group with c a c^-1 = b, for a and b in one class of
+    the group.
+
+    A Sym-conjugator serves unless it is odd in Alt(n).  Every conjugator
+    of a split class is even, so an odd one means the class does not split,
+    and the odd one times an odd element of a's centralizer is an even
+    conjugator.  In Alt(n) x C_2, a and b share their C_2 part, and the
+    Alt(n) parts are conjugated.
+    """
+    if spec.family == ALT_C2:
+        c0 = conjugator_in_group(GroupSpec(ALT, spec.n), split_alt_c2(a)[0],
+                                 split_alt_c2(b)[0])
+        return embed_alt_c2(c0, False)
+    c = conjugator_in_sym(a, b)
+    if spec.family == ALT and not c.is_even():
+        c = c * _odd_centralizer_element(a)
+    return c
 
 
 def centralizer_order(spec: GroupSpec, p: Perm) -> int:
@@ -491,8 +489,6 @@ class GroupTable:
         self.classes_by_order = {}
         for ci, m in enumerate(self.class_orders):
             self.classes_by_order.setdefault(m, []).append(ci)
-        # the center: the elements that are classes of their own
-        self._center = {cl.rep.images for cl in self.classes if cl.size == 1}
         # Subgroups as int bitmasks over `elements`: bit i marks elements[i].
         self.trivial_mask = 1 << self.elements.index(self.identity)
         self.full_mask = (1 << len(self.elements)) - 1
@@ -580,28 +576,25 @@ class GroupTable:
         return tuple(z for z in self.elements
                      if z_after_p(z.images) == tuple(map(p_at, z.images)))
 
-    def orbit_least(self, zs: Iterable[Perm]) -> Optional[Callable[[tuple], bool]]:
+    def orbit_least(self, zs: Iterable[Perm]) -> Callable[[tuple], bool]:
         """A test on image tuples x: whether x is least, in element order,
-        among its conjugates z x z^-1 for z in zs.  None when every z is
-        central, so that every x passes.
+        among its conjugates z x z^-1 for z in zs.
 
         Elements are listed in lexicographic order of their image tuples, so
         the test compares tuples.  z x z^-1 is z after x, by itemgetter at
         x's images on z's padded images, then after z^-1, by itemgetter at
-        z^-1's images, 0-based.
+        z^-1's images, 0-based.  A central z maps x to itself, which passes.
         """
         # sorting the points by their images lists z^-1's images, 0-based
-        moving = [((0,) + z.images,
-                   operator.itemgetter(*sorted(range(len(z.images)),
-                                               key=z.images.__getitem__)))
-                  for z in zs if z.images not in self._center]
-        if not moving:
-            return None
+        conjugators = [((0,) + z.images,
+                        operator.itemgetter(*sorted(range(len(z.images)),
+                                                    key=z.images.__getitem__)))
+                       for z in zs]
 
         def least(x: tuple) -> bool:
             z_after_x = operator.itemgetter(*x)
             return all(after_z_inverse(z_after_x(padded)) >= x
-                       for padded, after_z_inverse in moving)
+                       for padded, after_z_inverse in conjugators)
         return least
 
     @functools.cache
@@ -611,10 +604,7 @@ class GroupTable:
         second elliptic's choices once the first is pinned to that
         representative."""
         least = self.orbit_least(self.centralizer(self.classes[c0].rep))
-        out = self.classes[c1].elements
-        if least is None:
-            return out
-        return tuple(x for x in out if least(x.images))
+        return tuple(x for x in self.classes[c1].elements if least(x.images))
 
     @functools.cache
     def power_class(self, ci: int, k: int) -> int:

@@ -112,11 +112,8 @@ def enumerate_signatures(group: GroupSpec, g: int) -> list:
 
 def _multiplicities(weights: Sequence[int], need: int):
     """Every tuple k of non-negative integers with sum(k[j] * weights[j])
-    equal to need; recursion depth len(weights)."""
-    if not weights:
-        if need == 0:
-            yield ()
-        return
+    equal to need, for a non-empty list of weights; recursion depth
+    len(weights)."""
     w = weights[0]
     if len(weights) == 1:  # the last multiplicity is forced
         if need % w == 0:

@@ -26,10 +26,12 @@ Below position i the subtree depends only on i, the partial product and,
 for quotient genus 0 or 1, the subgroup H the chosen elliptics generate,
 kept as a bitmask on the group table (GroupTable.join).  Each search keeps
 the states whose subtree yielded nothing and skips them when they recur
-(nogood recording), which is exact.  A genus-0 leaf generates exactly when
-H is the whole group, so it runs no generation test; a genus-1 leaf tests
-each commutator solution with groups.spans, which compares the order of
-the subgroup they generate with the group's.
+(nogood recording), which is exact: a frame holds the number of vectors
+yielded before it was pushed, and a frame popped with that number unmoved
+is such a state.  A genus-0 leaf generates exactly when H is the whole
+group, so it runs no generation test; a genus-1 leaf tests each commutator
+solution with groups.spans, which compares the order of the subgroup they
+generate with the group's.
 
 Existence searches (normalize_first, as in weak-class enumeration) at
 quotient genus 0 or 1 also break symmetry: they branch only on choices
@@ -247,11 +249,15 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
             if table.class_id(p2) in reach[i + 1]:
                 yield x, p2
 
+    # vectors yielded so far: a frame popped with the count it was pushed
+    # at had a subtree that yielded nothing
+    yielded = 0
+
     def frame(i: int, partial: Perm, group: Optional[int]) -> list:
-        """[i, partial, subgroup, pending steps or leaf vectors, found]."""
+        """[i, partial, subgroup, pending steps or leaf vectors, yielded]."""
         clock.tick()
         pending = leaf(partial, group) if i == r else steps(i, partial)
-        return [i, partial, group, pending, False]
+        return [i, partial, group, pending, yielded]
 
     def descend(i: int, group: Optional[int], pending: Iterator[tuple]) -> bool:
         """Push the next child of the frame at i < r not yet proven dead;
@@ -265,7 +271,7 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
         return False
 
     # depth-first over an explicit stack, so the depth is not bounded by
-    # the recursion limit; `found` marks frames whose subtree yielded
+    # the recursion limit
     stack = [frame(0, identity, table.trivial_mask if track else None)]
     while stack:
         top = stack[-1]
@@ -275,23 +281,20 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
                 continue
         else:
             for vec in pending:
-                # found frames form a prefix of the stack
-                for f in reversed(stack):
-                    if f[4]:
-                        break
-                    f[4] = True
+                yielded += 1
                 yield vec
         # reached only when the subtree ran to the end: a budget stop or a
         # closed generator records nothing
         stack.pop()
-        if not top[4]:
+        if yielded == top[4]:
             dead.add((i, partial.images, group))
         if stack:
             chosen.pop()
 
 
 def _class_tuples(table, periods: Sequence[int]):
-    """Per-position class choices, non-decreasing inside equal-period blocks."""
+    """Per-position class choices, non-decreasing inside equal-period blocks;
+    none when some period is no element order, since it has no class."""
     blocks = []
     for m, block in itertools.groupby(periods):
         size = len(list(block))
@@ -441,12 +444,9 @@ def enumerate_weak_classes(spec: GroupSpec, g: int,
     table = group_table(spec)
     clock = _Clock(budget)
     sigs = list(signatures) if signatures is not None else enumerate_signatures(spec, g)
-    orders = spec.element_orders()
     result = WeakClassList()
     try:
         for i, sig in enumerate(sigs):
-            if any(m not in orders for m in sig.periods):
-                continue
             seen = set()
             for ids in _class_tuples(table, sig.periods):
                 key = _canonical_key(table, ids)

@@ -239,6 +239,19 @@ def test_factor_of_an_unrealizable_class_pattern_is_bad_input(capsys, group, ds,
         (2, "", "error: product: entry product is not the identity\n")
 
 
+@pytest.mark.parametrize("ds,message", [
+    ("(5,0;[(1 2)(3 4),2;2,2]^[0],[(1 5 4 3 2),5;5],[(1 2 3 4 5),5;5])",
+     "order-mismatch: multiplicity must be >= 1"),
+    ("(5,0;[(),1;],[(1 5 4 3 2),5;5],[(1 2 3 4 5),5;5])",
+     "order-mismatch: trivial entry"),
+    ("(5,0;[(1 2 3),3;3]^[3])", "genus-integrality: signature (0;3,3,3)"),
+])
+def test_factor_of_a_malformed_data_set_is_bad_input(capsys, ds, message):
+    """validate's entry and genus checks, reached from the command line."""
+    assert run(capsys, "factor", "--group", "A5", "--standard", "--ds", ds) == \
+        (2, "", f"error: {message}\n")
+
+
 def test_factor_answers_on_classify_rows(capsys):
     """A classify row's data set is a display form whose entries need not
     multiply to the identity; factor reads it, prints it back unchanged
@@ -309,6 +322,34 @@ def test_lift_command(capsys):
     assert payload["normalized_perm"] == "(1 2)"
 
 
+def test_lift_self_normalizing_payload(capsys):
+    """The self-normalizing report of an Alt(4) action on a torus quotient:
+    two symmetric extensions and one Alt(4) x C_2 extension, so it is not
+    self-normalizing.  The JSON stdout sha256 prefix pins the whole payload."""
+    code, out, _ = run(capsys, "lift", "--group", "A4",
+                       "--ds", "(4,1;[(1 2)(3 4),2;2,2]^[2])",
+                       "--d", "(2,1;-)", "--pi", "()", "--self-normalizing",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["by_condition"], payload["by_exhaustion"], payload["overall"]) == \
+        (False, False, False)
+    assert [(v["descent"]["d"], v["descent"]["perm"], v["verdict"])
+            for v in payload["extensions"]] == [
+        ("(2,0;(1,2)^[4])", "()", "wls"), ("(2,0;(1,2)^[4])", "(1 2)", "wls"),
+        ("(2,1;-)", "(1 2)", "alt_times_c2")]
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "94fdc84d1e198edd"
+
+
+def test_lift_of_an_unrealizable_class_pattern_is_bad_input(capsys):
+    """No vector realizes these classes, so resolving the data set re-raises
+    validate's product failure: exit 2."""
+    assert run(capsys, "lift", "--group", "A4",
+               "--ds", "(4,0;[(1 2)(3 4),2;2,2]^[3],[(2 3 4),3;3])",
+               "--d", "(2,0;(1,2)^[2])", "--pi", "()") == \
+        (2, "", "error: product: entry product is not the identity\n")
+
+
 def test_free_command(capsys):
     code, out, _ = run(capsys, "free", "--n", "5", "--genus", "121",
                        "--format", "json")
@@ -323,6 +364,17 @@ def test_obstructions_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["clean"] and payload["classes_swept"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstructions", "--group", "A5", "--genus", "61"],
+    ["weakgen", "--group", "A5", "--df", "(3,7;-)", "--dg", "(5,3;(1,5)^[2],(4,5)^[2])"],
+])
+def test_sweep_budget_stop_exits_3(capsys, argv):
+    """Sweeps that need every weak class raise on a budget stop instead of
+    answering from a partial list: exit 3."""
+    assert run(capsys, *argv, "--budget-nodes", "1") == \
+        (3, "", "incomplete: node ceiling 1 hit\n")
 
 
 @pytest.mark.parametrize("argv,digest", [

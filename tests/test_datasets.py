@@ -45,7 +45,7 @@ def test_product_failure():
         "(4,0;[(1 2)(3 4),2;2,2]^[2],[(2 4 3),3;3]^[2])", ALTERNATING)
     with pytest.raises(ValidationFailure) as err:
         validate(broken)
-    assert err.value.condition in ("product", "genus-integrality")
+    assert err.value.condition == "product"
 
 
 def test_generation_failure():

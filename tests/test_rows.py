@@ -15,7 +15,7 @@ from sact.errors import ValidationFailure
 from sact.factors import _class_fixed_points, _unwind
 from sact.groups import ALT, SYM, GroupSpec, group_table, split_label
 from sact.orbifold import run_lengths
-from sact.perm import CycleType, least_perm_of_type
+from sact.perm import CycleType, Perm, least_perm_of_type
 from sact.vectors import enumerate_weak_classes
 
 _LABEL_RANK = {"whole": 0, "plus": 1, "minus": 2}
@@ -152,3 +152,22 @@ def test_class_representative_is_the_table_class_rep():
             assert table.class_by_key[cl.key] == ci
             checked += 1
     assert checked == 68
+
+
+@pytest.mark.parametrize("n,long_type,pair_type,want", [
+    (10, (9,), (3, 7),
+     "(10,0;[(2 3 4 5 6 7 8 9 10),9;9],[(1 2 3)(4 5 6 7 8 10 9),21;3,7]^[2])"),
+    (9, (9,), (3, 5),
+     "(9,0;[(1 2 3 4 5 6 7 8 9),9;9],[(2 3 4)(5 6 7 9 8),15;3,5]^[2])"),
+], ids=["A10", "A9"])
+def test_canonical_form_of_a_minus_class_builds_no_table(n, long_type, pair_type, want):
+    """A "minus" slot's representative is the least permutation of its type
+    conjugated by (n-1 n), so a canonical form builds no group table: Alt(10)
+    is above the table cap, and Alt(9)'s table has 181,440 elements."""
+    swap = Perm.from_cycles([(1, 2)], n)
+    least = least_perm_of_type(CycleType(pair_type, n))
+    ds = dataset(ALTERNATING, n, 0, [least_perm_of_type(CycleType(long_type, n)),
+                                     (swap * least * swap, 2)])
+    tables = group_table.cache_info().currsize
+    assert str(canonical_form(ds)) == want
+    assert group_table.cache_info().currsize == tables
