@@ -138,10 +138,10 @@ def build_parser():
     p = sub.add_parser("lift", help="decide extension of an alternating action")
     p.add_argument("--group", required=True)
     p.add_argument("--ds", required=True)
-    p.add_argument("--d", required=True, help="degree-2 cyclic data set of the involution")
-    p.add_argument("--pi", required=True, help="cone permutation, e.g. '(3 4)' or '()'")
+    p.add_argument("--d", help="degree-2 cyclic data set of the involution")
+    p.add_argument("--pi", help="cone permutation, e.g. '(3 4)' or '()'")
     p.add_argument("--self-normalizing", action="store_true",
-                   help="run the exhaustive self-normalizing test instead")
+                   help="run the self-normalizing test instead; reads no --d, --pi")
     _add_common(p, env)
 
     p = sub.add_parser("free", help="free alternating actions and their extensions")
@@ -341,6 +341,9 @@ def cmd_lift(args) -> int:
                    "extensions": [v.to_json() for v in report.extensions]}
         _emit(args, payload)
         return EXIT_OK
+    for flag in ("d", "pi"):
+        if getattr(args, flag) is None:
+            raise ParseError(f"lift needs --{flag} unless --self-normalizing is given")
     d = parse_cyclic(args.d)
     r = sum(e.mult for e in ds.entries)
     pi = parse_perm(args.pi, r)

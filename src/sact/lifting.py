@@ -15,6 +15,7 @@ together with the induced permutation of the cone points.  Liftability is
 decided by enumerating candidate extensions over Sym(n) and Alt(n) x C_2 on
 the forced quotient signature and comparing descents.
 
+A descent is read off the cones, compared by class and never re-solved.
 Matching compares orbit multisets: fixed cones and swapped pairs, tagged by
 cycle type (the Sym-class data).  Whether they also agree when tagged by the
 finer split classes, up to one global flip, is reported on the verdict as
@@ -27,7 +28,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .datasets import (ALTERNATING, SYMMETRIC, GroupDataSet, cone_slots, dataset,
                        validate)
@@ -58,9 +59,10 @@ class InvolutionDescent:
 
 @dataclass(frozen=True)
 class Restriction:
-    """Descent of one generating vector to the index-2 subgroup."""
+    """Descent of one generating vector to the index-2 subgroup; alt_ds is a
+    display form, like a classify row: its entries name the cone classes."""
 
-    alt_ds: GroupDataSet          # valid representative, entries in cone order
+    alt_ds: GroupDataSet
     descent: InvolutionDescent
     genus: int
 
@@ -87,14 +89,12 @@ def _non_integral_descent(g0: Fraction) -> ValidationFailure:
 def index2_restrict(v: GeneratingVector) -> Restriction:
     """Descend a Sym(n) or Alt(n) x C_2 vector to its alternating half.
 
-    Cone points are emitted in parent-entry order, pair first; the returned
-    data set is resolved inside the same per-position classes so that its
-    product relation holds (see resolved_representative).
+    Cone points are emitted in parent-entry order, pair first.  The data set
+    is read off the cones, with no search: each entry is in its cone's class,
+    which is all that matching reads (see Restriction).
     """
     spec = v.spec
     in_sub, project, odd_conj = _coset_data(spec)
-    n = spec.n
-    alt_spec = GroupSpec(ALT, n)
 
     cones = []      # (representative in Alt(n), order)
     pairing = []    # 2-cycles of the induced cone permutation, 1-based
@@ -114,22 +114,20 @@ def index2_restrict(v: GeneratingVector) -> Restriction:
     g = rh_genus(spec.order, v.sig)
     if g is None:
         raise ValidationFailure("genus-integrality", f"vector signature {v.sig}")
-    g0_prime = quotient_genus(g, alt_spec.order, [m for _, m in cones],
+    g0_prime = quotient_genus(g, spec.order // 2, [m for _, m in cones],
                               _non_integral_descent)
 
     d = CyclicDataSet(2, v.sig.g0, [(1, 2)] * ell)
     if validate_cyclic(d) != g0_prime:
         raise ValidationFailure("congruence", "descended involution class is inconsistent")
 
-    alt_ds = resolved_representative(
-        dataset(ALTERNATING, n, g0_prime, [rep for rep, _ in cones]))
-
+    alt_ds = dataset(ALTERNATING, spec.n, g0_prime, [rep for rep, _ in cones])
     perm = Perm.from_cycles(pairing, len(cones))
     return Restriction(alt_ds, InvolutionDescent(d, perm), g)
 
 
 def psi_map(ds: GroupDataSet) -> Restriction:
-    """Descent of a symmetric data set: materialize a vector and restrict."""
+    """Descent of a symmetric data set, from one vector; alt_ds is a display form."""
     if ds.kind != SYMMETRIC:
         raise NotIndexTwo("psi_map descends symmetric data sets")
     return index2_restrict(materialize_vector(resolved_representative(ds)))
@@ -307,16 +305,16 @@ class _ExtensionSearches(SearchBudget):
     """A search budget that also keeps the extension searches run under it.
 
     self_normalizing passes one to every decide_lift call, so the calls
-    share one weak-class search per (group, genus, quotient signature) and
-    one descent per candidate.  Each search still runs under a fresh clock
-    with this budget, so node budgets give the verdicts that separate
-    searches give; a search that runs out of budget is not kept and runs
-    again when next asked.  A candidate's descent is computed when a match
-    loop first reaches it, as it would be without sharing.  Each data set
-    asked about is resolved once, in resolve.
+    share one weak-class search per (group, genus, quotient signature).
+    Each search still runs under a fresh clock with this budget, so node
+    budgets give the verdicts that separate searches give; a search that
+    runs out of budget is not kept and runs again when next asked.  Each
+    weak class is descended once, when its search runs; a descent is
+    arithmetic on the vector and runs no search.  Each data set asked about
+    is resolved once, in resolve.
     """
 
-    # (spec, genus, signature) -> (weak classes, their descents so far)
+    # (spec, genus, signature) -> [(weak class, its descent)]
     found: dict = field(default_factory=dict, repr=False, compare=False)
     # data set -> (its resolved representative, genus)
     resolved: dict = field(default_factory=dict, repr=False, compare=False)
@@ -339,20 +337,17 @@ class _ExtensionSearches(SearchBudget):
             return pair
 
     def candidates(self, spec: GroupSpec, g: int, sig: Signature
-                   ) -> Iterator[Tuple[WeakClass, Restriction]]:
+                   ) -> List[Tuple[WeakClass, Restriction]]:
         """Each weak class of spec-actions on sig at genus g, with its descent."""
         if any(m not in spec.element_orders() for m in sig.periods):
-            return
+            return []
         key = (spec, g, sig)
         if key not in self.found:
             found = enumerate_weak_classes(spec, g, self, signatures=[sig],
                                            raise_on_budget=True)
-            self.found[key] = (found.items, [])
-        items, descents = self.found[key]
-        for i, item in enumerate(items):
-            if i == len(descents):
-                descents.append(index2_restrict(item.vector))
-            yield item, descents[i]
+            self.found[key] = [(item, index2_restrict(item.vector))
+                               for item in found.items]
+        return self.found[key]
 
 
 def decide_lift(ds: GroupDataSet, inv: InvolutionDescent,

@@ -85,12 +85,13 @@ def quotient_genus(g: int, order: int, periods: Sequence[int],
 
 def enumerate_signatures(group: GroupSpec, g: int) -> list:
     """All signatures whose periods are element orders of the group and whose
-    RH genus is exactly g, sorted by (g0, periods).
+    RH genus is exactly g, listed in (g0, periods) order.
 
     Solved in integers over the lcm L of the element orders: a period m
     weighs (m - 1) * (L/m), and the weights of a signature's periods sum to
     (2 - 2*g0) * L - (2 - 2g) * L / |G|.  Each order gets a multiplicity, so
     the search is as deep as the number of distinct orders, whatever g is.
+    One g0's weight sums agree, so multiplicities running down list in order.
     """
     if g < 2:
         raise ParseError("genus must be >= 2")
@@ -107,19 +108,19 @@ def enumerate_signatures(group: GroupSpec, g: int) -> list:
             periods = sum(((m,) * k for m, k in zip(orders, mults)), ())
             out.append(Signature(g0, periods))
         g0 += 1
-    return sorted(out, key=lambda s: (s.g0, s.periods))
+    return out
 
 
 def _multiplicities(weights: Sequence[int], need: int):
     """Every tuple k of non-negative integers with sum(k[j] * weights[j])
-    equal to need, for a non-empty list of weights; recursion depth
-    len(weights)."""
+    equal to need, for a non-empty list of weights, the first multiplicity
+    running down from its largest value; recursion depth len(weights)."""
     w = weights[0]
     if len(weights) == 1:  # the last multiplicity is forced
         if need % w == 0:
             yield (need // w,)
         return
-    for k in range(need // w + 1):
+    for k in range(need // w, -1, -1):
         for tail in _multiplicities(weights[1:], need - k * w):
             yield (k,) + tail
 

@@ -341,6 +341,51 @@ def test_lift_self_normalizing_payload(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "94fdc84d1e198edd"
 
 
+def test_lift_self_normalizing_reads_neither_d_nor_pi(capsys):
+    code, out, _ = run(capsys, "lift", "--group", "A4",
+                       "--ds", "(4,1;[(1 2)(3 4),2;2,2]^[2])", "--self-normalizing",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "94fdc84d1e198edd"
+
+
+@pytest.mark.parametrize("flags,missing", [
+    (["--d", "(2,1;-)"], "--pi"), (["--pi", "()"], "--d"), ([], "--d")])
+def test_lift_question_needs_d_and_pi(capsys, flags, missing):
+    assert run(capsys, "lift", "--group", "A4",
+               "--ds", "(4,1;[(1 2)(3 4),2;2,2]^[2])", *flags) == \
+        (2, "", f"error: lift needs {missing} unless --self-normalizing is given\n")
+
+
+def test_lift_needs_an_alternating_group(capsys):
+    assert run(capsys, "lift", "--group", "S5", "--ds", "(5,0;[(1 2),2;2])",
+               "--d", "(2,0;(1,2)^[2])", "--pi", "()") == \
+        (2, "", "error: lift decides extensions of alternating actions; use A<n>\n")
+
+
+def test_lift_without_a_realizable_cone_pairing(capsys):
+    """Three cones of distinct orders all fixed by an involution with two
+    branch points: no pairing of the surplus fixed cones exists."""
+    code, out, _ = run(capsys, "lift", "--group", "A6",
+                       "--ds", "(6,0;[(4 5 6),3;3],[(1 2)(3 4 5 6),4;2,4],"
+                               "[(2 3 4 5 6),5;5])",
+                       "--d", "(2,0;(1,2)^[2])", "--pi", "()", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "lift",
+        "data_set": "(6,0;[(4 5 6),3;3],[(1 2 3 4)(5 6),4;2,4],[(1 4 5 3 2),5;5])",
+        "descent": {"d": "(2,0;(1,2)^[2])", "perm": "()"},
+        "notes": ["no realizable cone pairing for this involution class"],
+        "verdict": "not_liftable"}
+
+
+def test_factor_needs_element_or_standard(capsys):
+    assert run(capsys, "factor", "--group", "A5",
+               "--ds", "(5,0;[(1 2)(3 4),2;2,2]^[2],[(1 5 4 3 2),5;5],"
+                       "[(1 2 3 4 5),5;5])") == \
+        (2, "", "error: factor needs --element or --standard\n")
+
+
 def test_lift_of_an_unrealizable_class_pattern_is_bad_input(capsys):
     """No vector realizes these classes, so resolving the data set re-raises
     validate's product failure: exit 2."""

@@ -156,6 +156,30 @@ def test_weakly_generates_hyperelliptic_absent():
     assert weakly_generates(hyper, d_g, sym(4)) is None
 
 
+def test_weakly_generates_orbit_filter_cuts_generation_tests(monkeypatch):
+    """The factor of (1 2)(3 4) in the icosahedral data set, against itself:
+    two involutions generate a dihedral group, so there is no witness, with
+    the centralizer-orbit filter on tau or without it; the filter cuts the
+    generation tests."""
+    d = parse_cyclic("(2,9;(1,2)^[4])")
+    assert cyclic_factor(parse_dataset(ICOSAHEDRAL_A, ALTERNATING),
+                         parse_perm("(1 2)(3 4)", 5)) == d
+    calls = []
+    spans = sact.factors.spans
+
+    def counted(*args):
+        calls.append(args)
+        return spans(*args)
+
+    monkeypatch.setattr(sact.factors, "spans", counted)
+    assert weakly_generates(d, d, alt(5)) is None
+    filtered = len(calls)
+    calls.clear()
+    monkeypatch.setattr(GroupTable, "orbit_least", lambda self, zs: lambda x: True)
+    assert weakly_generates(d, d, alt(5)) is None
+    assert (filtered, len(calls)) == (12, 30)
+
+
 # ---------------------------------------------------------------------------
 # order bounds and obstruction sweeps
 

@@ -22,8 +22,8 @@ from sact.lifting import (ALT_TIMES_C2, NOT_LIFTABLE, UNDETERMINED, WLS,
 from sact.orbifold import Signature, parse_cyclic
 from sact.perm import Perm, parse_perm
 from sact.vectors import (SearchBudget, enumerate_weak_classes,
-                          materialize_vector, validate_vector,
-                          vectors_for_dataset)
+                          materialize_vector, resolved_representative,
+                          validate_vector, vectors_for_dataset)
 
 D_SPHERE = "(2,0;(1,2)^[2])"
 
@@ -88,6 +88,52 @@ def test_psi_image_is_vector_independent():
         for other in restrictions[1:]:
             loose, strict = match_descent(base.alt_ds, base.descent, other)
             assert strict, (name, text)
+
+
+@pytest.mark.parametrize("spec", [sym(4), sym(5), alt_c2(4), alt_c2(5)],
+                         ids=lambda s: s.name)
+def test_descent_names_the_classes_of_its_resolved_representative(spec):
+    """A descent is read off the cones, unresolved; resolving it keeps the
+    quotient genus and every cone's class, which is all matching reads."""
+    for g in range(3, 26):
+        for item in enumerate_weak_classes(spec, g).items:
+            alt_ds = index2_restrict(item.vector).alt_ds
+            rep = resolved_representative(alt_ds)
+            assert (alt_ds.n, alt_ds.g0) == (rep.n, rep.g0), (str(item.ds), g)
+            assert cone_slots(alt_ds) == cone_slots(rep), (str(item.ds), g)
+
+
+def test_descent_is_a_display_form():
+    """The descent's entries need not multiply to the identity; its
+    resolved representative does, in the same classes."""
+    item, = [item for item in enumerate_weak_classes(
+                 sym(4), 6, signatures=[Signature(0, [2, 2, 3, 4])]).items
+             if str(item.ds) == "(4,0;[(3 4),2;2],[(1 2)(3 4),2;2,2],"
+                                "[(2 3 4),3;3],[(1 4 3 2),4;4])"]
+    alt_ds = index2_restrict(item.vector).alt_ds
+    assert str(alt_ds) == ("(4,0;[(1 2)(3 4),2;2,2],[(1 2)(3 4),2;2,2],[(2 3 4),3;3],"
+                           "[(1 3 4),3;3],[(1 3)(2 4),2;2,2])")
+    with pytest.raises(ValidationFailure) as failure:
+        validate(alt_ds)
+    assert failure.value.condition == "product"
+    rep = resolved_representative(alt_ds)
+    assert str(rep) == ("(4,0;[(1 2)(3 4),2;2,2]^[2],[(2 3 4),3;3],[(1 2 3),3;3],"
+                        "[(1 3)(2 4),2;2,2])")
+    assert validate(rep) == 6
+
+
+def test_descent_runs_no_search(monkeypatch):
+    vectors = [item.vector for spec in (sym(4), sym(5), alt_c2(4), alt_c2(5))
+               for item in enumerate_weak_classes(spec, 21).items]
+    assert vectors
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a descent validated or re-solved its data set")
+
+    for name in ("resolved_representative", "validate"):
+        monkeypatch.setattr(sact.lifting, name, forbidden)
+    for vec in vectors:
+        index2_restrict(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +288,21 @@ def test_symmetry_breaking_changes_no_lift_verdict(monkeypatch, unbroken_symmetr
     unbroken = _lift_sweep_verdicts(monkeypatch)
     monkeypatch.undo()  # restores both rules and decide_lift
     assert _lift_sweep_verdicts(monkeypatch) == unbroken
+
+
+def test_resolving_descents_changes_no_lift_verdict(monkeypatch):
+    """The lift-sweep reports and verdicts are the same when every descent
+    is resolved to a realizable representative, as it once was."""
+    unresolved = _lift_sweep_verdicts(monkeypatch)
+    monkeypatch.undo()
+    restrict = sact.lifting.index2_restrict
+
+    def resolving(v):
+        r = restrict(v)
+        return Restriction(resolved_representative(r.alt_ds), r.descent, r.genus)
+
+    monkeypatch.setattr(sact.lifting, "index2_restrict", resolving)
+    assert _lift_sweep_verdicts(monkeypatch) == unresolved
 
 
 def test_match_descent_agrees_with_bijection_enumeration():

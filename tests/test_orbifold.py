@@ -101,6 +101,18 @@ def test_enumerate_signatures_matches_fraction_search(spec):
         assert enumerate_signatures(spec, g) == _signatures_by_fractions(spec, g), g
 
 
+@pytest.mark.parametrize("spec", [alt(n) for n in (4, 5, 6, 7)]
+                         + [sym(n) for n in (3, 4, 5, 6, 7)]
+                         + [alt_c2(n) for n in (4, 5, 6)], ids=lambda s: s.name)
+def test_enumerate_signatures_lists_in_order_without_a_sort(spec):
+    """The multiplicities run down, so the list comes out in (g0, periods)
+    order; it stays a list, which callers take the length of."""
+    for g in [*range(2, 130), 241, 361, 481]:
+        sigs = enumerate_signatures(spec, g)
+        assert isinstance(sigs, list)
+        assert sigs == sorted(sigs, key=lambda s: (s.g0, s.periods)), g
+
+
 def test_enumerate_signatures_depth_does_not_grow_with_periods():
     # A4 at g = 400 has signatures with 137 periods; the search nests once
     # per distinct element order (2 and 3), so 30 free frames suffice
