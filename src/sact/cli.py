@@ -218,7 +218,12 @@ def classify_group_rows(family: str, n: int, genus: int,
                 "factor_tau": "-",
             })
     rows.sort(key=lambda r: (r["signature"], r["data_set"]))
-    return {"rows": rows, "complete": result.complete}
+    out = {"rows": rows, "complete": result.complete}
+    if not result.complete:
+        left = len(result.unfinished)
+        out["stopped"] = (f"{spec.name} stopped in {result.unfinished[0]}, "
+                          f"{left} signature{'s' * (left != 1)} unfinished")
+    return out
 
 
 def _classify_targets(args):
@@ -253,6 +258,8 @@ def cmd_classify(args) -> int:
     for out in outs:
         all_rows.extend(out["rows"])
         complete = complete and out["complete"]
+        if not out["complete"]:
+            print(f"incomplete: {out['stopped']}", file=sys.stderr)
 
     all_rows.sort(key=lambda r: (r["group"][0], int(r["group"].lstrip("AxCS2") or 0),
                                  r["signature"], r["data_set"]))

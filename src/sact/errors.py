@@ -14,7 +14,7 @@ class MembershipError(SactError):
 
 
 class DegreeCapExceeded(SactError):
-    """An exhaustive operation was requested above the configured degree cap."""
+    """An element table was asked for above groups.TABLE_ORDER_CAP."""
 
 
 class KindMismatch(SactError):

@@ -29,6 +29,7 @@ reference.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,6 +247,7 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
     """A witness (data set, sigma, tau) with the prescribed cyclic factors and
     <sigma, tau> the whole group, or None after a complete sweep.
 
+    tau runs over the searches' orbit-least lists (GroupTable.least_second).
     Raises GenusMismatch up front and BudgetExhausted (never a false None)
     when the class enumeration could not finish.
     """
@@ -263,18 +265,11 @@ def weakly_generates(d_f: CyclicDataSet, d_g: CyclicDataSet, spec: GroupSpec,
         if not sigma_classes:
             continue
         tau_ok = {ci for ci in table.classes_by_order[d_g.degree] if factors[ci] == d_g}
-        if not tau_ok:
-            continue
         for s_ci in sigma_classes:
             sigma = table.classes[s_ci].rep
             # one tau per orbit of sigma's centralizer: conjugating the pair
             # by it fixes sigma and keeps generation and tau's class
-            least = table.orbit_least(table.centralizer(sigma))
-            for tau in table.elements:
-                if table.class_id(tau) not in tau_ok:
-                    continue
-                if not least(tau.images):
-                    continue
+            for tau in heapq.merge(*(table.least_second(s_ci, t) for t in tau_ok)):
                 if spans(spec, [sigma, tau]):
                     return GenerationWitness(item.ds, sigma, tau)
     return None

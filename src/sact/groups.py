@@ -11,12 +11,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegreeCapExceeded, MembershipError, ParseError
 from .perm import CycleType, Perm, least_perm_of_type
 
-DEGREE_CAP = 10
 # Element tables back the enumeration searches; groups above this order
 # would need a different engine entirely.
 TABLE_ORDER_CAP = 250_000
@@ -430,12 +429,11 @@ def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:
 
 
 def generates(spec: GroupSpec, elems: Iterable[Perm]) -> bool:
-    """Whether the given elements generate the whole group.  Exact."""
+    """Whether the given elements generate the whole group.  Exact, at any
+    degree; membership is checked, which callers holding members skip."""
     elems = list(elems)
     for p in elems:
         require_member(spec, p)
-    if spec.degree > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {spec.degree} above cap {DEGREE_CAP}")
     return spans(spec, elems)
 
 
@@ -468,6 +466,8 @@ class GroupTable:
     flip on class ids: the class of each representative conjugated by
     (1 2).  That is the identity on Sym(n); on Alt(n) and Alt(n) x C_2 it
     swaps the two halves of each split class and keeps the C_2 part.
+    `least_second` holds the one orbit-least list.  TABLE_ORDER_CAP is the
+    package's only size limit (DegreeCapExceeded).
 
     Every derived lookup is memoized per table by `functools.cache`, whose
     key holds the table (compared by identity) until the process exits, so
@@ -576,9 +576,12 @@ class GroupTable:
         return tuple(z for z in self.elements
                      if z_after_p(z.images) == tuple(map(p_at, z.images)))
 
-    def orbit_least(self, zs: Iterable[Perm]) -> Callable[[tuple], bool]:
-        """A test on image tuples x: whether x is least, in element order,
-        among its conjugates z x z^-1 for z in zs.
+    @functools.cache
+    def least_second(self, c0: int, c1: int) -> tuple:
+        """The elements of class c1 least in their orbit under conjugation by
+        the centralizer of class c0's representative, in element order: the
+        second elliptic's choices once the first is pinned to that
+        representative, and weak generation's choices of tau once sigma is.
 
         Elements are listed in lexicographic order of their image tuples, so
         the test compares tuples.  z x z^-1 is z after x, by itemgetter at
@@ -589,21 +592,12 @@ class GroupTable:
         conjugators = [((0,) + z.images,
                         operator.itemgetter(*sorted(range(len(z.images)),
                                                     key=z.images.__getitem__)))
-                       for z in zs]
+                       for z in self.centralizer(self.classes[c0].rep)]
 
         def least(x: tuple) -> bool:
             z_after_x = operator.itemgetter(*x)
             return all(after_z_inverse(z_after_x(padded)) >= x
                        for padded, after_z_inverse in conjugators)
-        return least
-
-    @functools.cache
-    def least_second(self, c0: int, c1: int) -> tuple:
-        """The elements of class c1 least in their orbit under conjugation by
-        the centralizer of class c0's representative, in element order: the
-        second elliptic's choices once the first is pinned to that
-        representative."""
-        least = self.orbit_least(self.centralizer(self.classes[c0].rep))
         return tuple(x for x in self.classes[c1].elements if least(x.images))
 
     @functools.cache
@@ -728,9 +722,8 @@ def commutator_witness(spec: GroupSpec, target: Perm) -> Optional[tuple]:
 
     The scan over r2 is exhaustive, so None is a proof of absence.
     """
-    for r1, r2 in commutator_witnesses(spec, target):
-        return (r1, r2)
-    return None
+    require_member(spec, target)
+    return next(commutator_witnesses(spec, target), None)
 
 
 def commutator_witnesses(spec: GroupSpec, target: Perm):
@@ -739,9 +732,9 @@ def commutator_witnesses(spec: GroupSpec, target: Perm):
     [r1, r2] = target is solved as r1 r2 r1^-1 = target * r2, so for each r2
     the candidates r1 run over one conjugator times the centralizer of r2.
     r2 and target * r2 share a table class, so the conjugator exists, and
-    it and the centralizer lie in the group, so every r1 does.
+    it and the centralizer lie in the group, so every r1 does.  The target
+    must be a member, as table elements and validated entries are.
     """
-    require_member(spec, target)
     table = group_table(spec)
     for r2 in table.elements:
         c = target * r2

@@ -311,7 +311,7 @@ class _ExtensionSearches(SearchBudget):
     runs out of budget is not kept and runs again when next asked.  Each
     weak class is descended once, when its search runs; a descent is
     arithmetic on the vector and runs no search.  Each data set asked about
-    is resolved once, in resolve.
+    is resolved once, in resolve, under this budget.
     """
 
     # (spec, genus, signature) -> [(weak class, its descent)]
@@ -331,7 +331,7 @@ class _ExtensionSearches(SearchBudget):
         try:
             return self.resolved[ds]
         except KeyError:
-            rep = resolved_representative(ds)
+            rep = resolved_representative(ds, self)
             pair = (rep, validate(rep, structure_only=True))
             self.resolved[ds] = self.resolved[rep] = pair
             return pair

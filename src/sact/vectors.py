@@ -335,13 +335,14 @@ def vectors_for_dataset(ds: GroupDataSet, budget: Optional[SearchBudget] = None
     return _vectors_for_classes(spec, ds.g0, ids, clock)
 
 
-def resolved_representative(ds: GroupDataSet) -> GroupDataSet:
+def resolved_representative(ds: GroupDataSet,
+                            budget: Optional[SearchBudget] = None) -> GroupDataSet:
     """A fully valid data set in the same per-position classes.
 
     Canonical forms carry display representatives whose product need not be
     the identity; re-solving inside the stored classes recovers a realizable
-    tuple (position for position, so cone indexing is preserved).  Raises the
-    original failure when the class pattern is not realizable at all.
+    tuple (position for position, so cone indexing is preserved), within
+    the budget.  Raises the original failure when no tuple is realizable.
     """
     try:
         validate(ds)
@@ -349,7 +350,7 @@ def resolved_representative(ds: GroupDataSet) -> GroupDataSet:
     except ValidationFailure as failure:
         if failure.condition not in ("product", "generation", "witness"):
             raise
-        vec = next(vectors_for_dataset(ds), None)
+        vec = next(vectors_for_dataset(ds, budget), None)
         if vec is None:
             raise
         return dataset_from_vector(vec)

@@ -10,7 +10,8 @@ from sact.groups import GroupTable  # noqa: E402
 
 @pytest.fixture
 def unbroken_symmetry(monkeypatch):
-    """Existence searches without symmetry breaking: the second elliptic
-    runs over its whole class."""
+    """Existence searches and weak generation without symmetry breaking:
+    the second elliptic, and tau once sigma is fixed, run over their whole
+    class."""
     monkeypatch.setattr(GroupTable, "least_second",
                         lambda self, c0, c1: self.classes[c1].elements)

@@ -130,6 +130,24 @@ def test_classify_budget_exhaustion_exit_code(capsys):
     assert "incomplete" in out
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_budget_stop_names_where_it_stopped(capsys, jobs):
+    """One stderr line per group the budget stopped; stdout is what it was
+    without the line."""
+    args = ["classify", "--genus", "49", "--budget-nodes", "100", "--jobs", jobs]
+    code, out, err = run(capsys, *args, "--group", "S4")
+    assert code == 3 and out.endswith("# incomplete: search budget exhausted\n")
+    assert err == ("incomplete: S4 stopped in (0;2,2,2,2,2,2,2,2,2,2,2,2), "
+                   "21 signatures unfinished\n")
+    code, _, err = run(capsys, *args, "--all")
+    assert code == 3
+    assert err.splitlines() == [
+        "incomplete: A4 stopped in (0;2,2,2,2,3,3,3,3,3,3,3,3,3,3,3,3), "
+        "17 signatures unfinished",
+        "incomplete: S4 stopped in (0;2,2,2,2,2,2,2,2,2,2,2,2), "
+        "21 signatures unfinished"]
+
+
 @pytest.mark.parametrize("genus,digest", [
     (49, "f5814bb8521c20a5"), (55, "c8faa770318571e3"), (61, "3e9f030301d6ee41"),
 ])
@@ -377,6 +395,25 @@ def test_lift_without_a_realizable_cone_pairing(capsys):
         "descent": {"d": "(2,0;(1,2)^[2])", "perm": "()"},
         "notes": ["no realizable cone pairing for this involution class"],
         "verdict": "not_liftable"}
+
+
+@pytest.mark.parametrize("nodes,code,verdict", [("0", 3, None), ("20", 0, "wls")])
+def test_lift_budget_bounds_resolving_the_data_set(capsys, nodes, code, verdict):
+    """The entries do not close the long relation, so the data set is
+    re-solved in its classes first; that search runs under the budget."""
+    got, out, err = run(capsys, "lift", "--group", "A4", "--ds",
+                        "(4,0;[(1 2)(3 4),2;2,2],[(1 2)(3 4),2;2,2],[(2 3 4),3;3],"
+                        "[(1 3 4),3;3],[(1 3)(2 4),2;2,2])",
+                        "--d", "(2,0;(1,2)^[2])", "--pi", "(1 2)(3 4)",
+                        "--budget-nodes", nodes, "--format", "json")
+    assert got == code
+    if verdict is None:
+        assert (out, err) == ("", "incomplete: node ceiling 0 hit\n")
+    else:
+        payload = json.loads(out)
+        assert payload["verdict"] == verdict and payload["notes"] == []
+        assert payload["data_set"] == ("(4,0;[(1 2)(3 4),2;2,2]^[2],[(2 3 4),3;3],"
+                                       "[(1 2 3),3;3],[(1 3)(2 4),2;2,2])")
 
 
 def test_factor_needs_element_or_standard(capsys):

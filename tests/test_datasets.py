@@ -226,3 +226,28 @@ def test_g0_2_rule_is_the_derived_subgroup(spec):
             with pytest.raises(ValidationFailure) as err:
                 validate(ds)
             assert err.value.condition in ("parity", "witness")
+
+
+def test_alt4_g0_2_clause_matches_the_handle_solver():
+    """validate's Alt(4) rule at g0 >= 2, membership of the entry product in
+    V_4, against the handle solver it replaces: on every ordered tuple of up
+    to three non-identity entries at g0 = 2-4, validate raises `witness`
+    exactly when no handle tuple closes the relation."""
+    spec = alt(4)
+    elements = [p for p in group_table(spec).elements if not p.is_identity()]
+    disagreements = []
+    for g0 in (2, 3, 4):
+        for r in range(4):
+            for reps in itertools.product(elements, repeat=r):
+                ds = dataset(ALTERNATING, 4, g0, reps)
+                solvable = next(handle_solutions(spec, g0, reps, ds.product()),
+                                None) is not None
+                try:
+                    validate(ds)
+                    accepted = True
+                except ValidationFailure as err:
+                    assert err.condition == "witness"
+                    accepted = False
+                if accepted != solvable:
+                    disagreements.append(str(ds))
+    assert disagreements == []

@@ -1,8 +1,8 @@
 import pytest
 
-from sact.datasets import ALTERNATING, dataset, validate
+from sact.datasets import ALTERNATING, SYMMETRIC, dataset, parse_dataset, validate
 from sact.errors import DegreeCapExceeded, MembershipError
-from sact.groups import alt, centralizer_order, generates, sym
+from sact.groups import alt, centralizer_order, generates, group_table, sym
 from sact.lifting import WLS, InvolutionDescent, decide_lift
 from sact.orbifold import Signature, parse_cyclic
 from sact.perm import Perm, parse_perm
@@ -10,8 +10,21 @@ from sact.vectors import enumerate_weak_classes
 
 
 def test_degree_cap():
+    # the element-table cap is the only size limit
     with pytest.raises(DegreeCapExceeded):
-        generates(sym(11), [Perm.identity(11)])
+        group_table(sym(9))
+
+
+def test_generation_above_degree_ten():
+    transposition = parse_perm("(1 11)", 11)
+    long_cycle = parse_perm("(1 2 3 4 5 6 7 8 9 10 11)", 11)
+    assert generates(sym(11), [transposition, long_cycle])
+    assert not generates(sym(11), [long_cycle])
+    assert generates(alt(11), [parse_perm("(1 2 3)", 11), long_cycle])
+    assert not generates(alt(11), [long_cycle])
+    ds = parse_dataset("(11,0;[(1 11),2;2],[(1 2 3 4 5 6 7 8 9 10),10;10],"
+                       "[(1 11 10 9 8 7 6 5 4 3 2),11;11])", SYMMETRIC)
+    assert validate(ds) == 6168961
 
 
 def test_membership_errors():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from sact.factors import (FactorTable, _class_fixed_points, _direct_factor,
                           obstruction_report, standard_factors,
                           weakly_generates)
 from sact.groups import (CLOSURE_ORDER_CAP, GroupTable, alt, alt_c2,
-                         centralizer_order, group_table, sym)
+                         centralizer_order, group_table, parse_group, sym)
 from sact.orbifold import CyclicDataSet, parse_cyclic, validate_cyclic
 from sact.perm import parse_perm
 from sact.vectors import enumerate_weak_classes
@@ -156,7 +157,7 @@ def test_weakly_generates_hyperelliptic_absent():
     assert weakly_generates(hyper, d_g, sym(4)) is None
 
 
-def test_weakly_generates_orbit_filter_cuts_generation_tests(monkeypatch):
+def test_weakly_generates_orbit_filter_cuts_generation_tests(monkeypatch, request):
     """The factor of (1 2)(3 4) in the icosahedral data set, against itself:
     two involutions generate a dihedral group, so there is no witness, with
     the centralizer-orbit filter on tau or without it; the filter cuts the
@@ -175,9 +176,38 @@ def test_weakly_generates_orbit_filter_cuts_generation_tests(monkeypatch):
     assert weakly_generates(d, d, alt(5)) is None
     filtered = len(calls)
     calls.clear()
-    monkeypatch.setattr(GroupTable, "orbit_least", lambda self, zs: lambda x: True)
+    request.getfixturevalue("unbroken_symmetry")
     assert weakly_generates(d, d, alt(5)) is None
     assert (filtered, len(calls)) == (12, 30)
+
+
+def test_weak_generation_sweep_golden():
+    """Every ordered pair of factors that some weak class of A4, A5, A6, S4
+    or S5 shows at genus 3-13, asked of that group: 821 answers, 474 of
+    them witnesses.  The sha256 prefix of the answers, each witness as its
+    data set, sigma and tau, was recorded from the scan that tested every
+    table element for orbit-leastness, so it pins the witnesses that scan
+    found."""
+    lines = []
+    for name in ("A4", "A5", "A6", "S4", "S5"):
+        spec = parse_group(name)
+        table = group_table(spec)
+        others = [ci for ci in range(len(table.classes))
+                  if ci != table.identity_class_id()]
+        for g in range(3, 14):
+            factors = {}
+            for item in enumerate_weak_classes(spec, g).items:
+                for ci in others:
+                    f = factor_table(item.ds)[ci]
+                    factors[str(f)] = f
+            for sf, f in sorted(factors.items()):
+                for sg, h in sorted(factors.items()):
+                    w = weakly_generates(f, h, spec)
+                    lines.append(f"{name} {g} {sf} {sg} " + (
+                        "no" if w is None else f"{w.ds} {w.sigma} {w.tau}"))
+    assert (len(lines), sum(not line.endswith(" no") for line in lines)) == (821, 474)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "1ff24526a622a753"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from sact.groups import (GroupTable, alt, alt_c2, embed_alt_c2, flip_label,
                          group_table, subgroup_order, sym)
 from sact.orbifold import Signature, enumerate_signatures
 from sact.perm import Perm
-from sact.vectors import (GeneratingVector, SearchBudget, _feasible_end_ids,
+from sact.vectors import (GeneratingVector, SearchBudget, _canonical_key,
+                          _feasible_end_ids,
                           dataset_from_vector, enumerate_vectors,
                           enumerate_weak_classes, materialize_vector,
                           validate_vector, vectors_for_dataset)
@@ -352,15 +353,29 @@ def test_realizability_is_arrangement_independent():
     assert any_order_keys == sorted_keys
 
 
+# (group, genus, signature) of each pair of weak classes at g <= 121 that an
+# outer automorphism of Sym(6) relates; S6 (0;3,6,6) at g = 121 holds two
+DEGREE6_OUTER_PAIRS = [
+    (alt(6), 40, (0, 3, 4, 5)), (alt(6), 49, (0, 3, 5, 5)),
+    (alt(6), 76, (0, 2, 2, 3, 4)), (alt(6), 85, (0, 2, 2, 3, 5)),
+    (alt(6), 91, (0, 2, 3, 3, 3)), (alt(6), 106, (0, 2, 3, 3, 4)),
+    (alt(6), 115, (0, 2, 3, 3, 5)), (alt(6), 121, (0, 2, 2, 2, 2, 3)),
+    (alt(6), 121, (0, 2, 3, 4, 4)), (alt(6), 121, (0, 3, 3, 3, 3)),
+    (sym(6), 49, (0, 2, 5, 6)), (sym(6), 91, (0, 3, 4, 6)),
+    (sym(6), 121, (0, 2, 2, 2, 6)), (sym(6), 121, (0, 3, 6, 6)),
+    (sym(6), 121, (0, 3, 6, 6)), (sym(6), 121, (0, 4, 4, 6)),
+]
+
+
 def test_degree6_outer_automorphism_pairs_stay_apart():
     """Weak classes are identified up to the split-class flip, which is
     conjugation in Sym(n) and so all of Aut(G) except at n = 6.  An outer
-    automorphism of Sym(6) carries the class multiset of one row onto the
-    other's in three pairs: the A6 rows with signature (0;3,4,5) at g = 40,
-    the A6 rows with (0;3,5,5) at g = 49 and the S6 rows with (0;2,5,6) at
-    g = 49, a tier-1 golden genus.  The key keeps each pair apart.  Change
-    this only together with the goldens, if weak conjugacy is ever taken up
-    to all of Aut(G)."""
+    automorphism phi of Sym(6) carries the class multiset of one row onto
+    another's in 16 pairs at g <= 121 (DEGREE6_OUTER_PAIRS), the first two
+    at g = 40 and at g = 49, a tier-1 golden genus.  Each pair is matched
+    through the weak-class key of its image under phi, and the key keeps
+    each pair apart.  Change this only together with the goldens, if weak
+    conjugacy is ever taken up to all of Aut(G)."""
     s6 = group_table(sym(6))
     s, t = sym(6).standard_generators()
     # (1 2) -> (1 2)(3 4)(5 6) and (1 2 3 4 5 6) -> (2 3)(4 5 6), extended
@@ -383,16 +398,21 @@ def test_degree6_outer_automorphism_pairs_stay_apart():
     assert len(set(phi.values())) == len(s6.elements)
     assert phi[s].cycle_type() != s.cycle_type()  # not inner
 
-    for spec, g, sig in [(alt(6), 40, Signature(0, [3, 4, 5])),
-                         (alt(6), 49, Signature(0, [3, 5, 5])),
-                         (sym(6), 49, Signature(0, [2, 5, 6]))]:
+    found = []
+    for spec in (alt(6), sym(6)):
         table = group_table(spec)
-        items = enumerate_weak_classes(spec, g, signatures=[sig]).items
-        assert len(items) == 2, (spec.name, g)
-        first, second = (sorted(item.key) for item in items)
-        image = sorted(table.class_id(phi[table.classes[ci].rep]) for ci in first)
-        assert image == second, (spec.name, g)
-        assert items[0].key != items[1].key
+        for g, sig in sorted({(g, sig) for sp, g, sig in DEGREE6_OUTER_PAIRS
+                              if sp == spec}):
+            items = enumerate_weak_classes(
+                spec, g, signatures=[Signature(sig[0], sig[1:])]).items
+            keys = {item.key for item in items}
+            for key in sorted(keys):
+                image = _canonical_key(table, [
+                    table.class_id(phi[table.classes[ci].rep]) for ci in key])
+                assert image in keys, (spec.name, g, sig)
+                if key < image:
+                    found.append((spec, g, sig))
+    assert found == DEGREE6_OUTER_PAIRS
 
 
 def test_free_actions_and_family_case():
