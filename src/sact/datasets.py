@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import KindMismatch, ParseError, ValidationFailure
 from .groups import (ALT, SYM, GroupSpec, GroupTable, commutator_witnesses,
-                     flip_label, spans, split_label)
+                     flip_label, in_derived_subgroup, spans, split_label)
 from .orbifold import Signature, format_runs, parse_runs, rh_genus, run_lengths
 from .perm import CycleType, Perm, least_perm_of_type, parse_perm
 
@@ -111,10 +111,12 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
     text, so at g0 >= 1 the handle pair is re-derived, never read: the g0 = 1
     clause asks handle_solutions for a pair that closes the relation and
     generates together with the entries; at g0 >= 2 the entry product must
-    lie in the derived subgroup, which needs no search.  With structure_only
-    the realizability clauses (product, generation, witness) are skipped;
-    canonical forms are shape-checked this way, since their display
-    representatives need not multiply to the identity.
+    lie in the derived subgroup (groups.in_derived_subgroup, no search),
+    which is proper only in Sym(n), tagged parity, and Alt(4), tagged
+    witness.  With structure_only the realizability clauses (product,
+    generation, witness) are skipped; canonical forms are shape-checked
+    this way, since their display representatives need not multiply to
+    the identity.
     """
     spec = ds.spec
     for e in ds.entries:
@@ -143,13 +145,10 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
     elif ds.g0 == 1:
         if next(handle_solutions(spec, 1, reps, ds.product()), None) is None:
             raise ValidationFailure("witness", "no handle pair closes the relation")
-    else:
-        if ds.kind == SYMMETRIC and not ds.product().is_even():
+    elif not in_derived_subgroup(spec, ds.product()):
+        if ds.kind == SYMMETRIC:
             raise ValidationFailure("parity", "entry product is odd with g0 >= 2")
-        if ds.kind == ALTERNATING and ds.n == 4:
-            # V_4, the derived subgroup of Alt(4), holds only commutators
-            if ds.product().cycle_type().parts not in ((), (2, 2)):
-                raise ValidationFailure("witness", "handle relation unsatisfiable in Alt(4)")
+        raise ValidationFailure("witness", "handle relation unsatisfiable in Alt(4)")
     return g
 
 

@@ -153,6 +153,21 @@ def require_member(spec: GroupSpec, p: Perm) -> None:
         raise MembershipError(f"{p} is not in {spec.name}")
 
 
+def in_derived_subgroup(spec: GroupSpec, p: Perm) -> bool:
+    """Whether p, a member of spec's group, lies in its derived subgroup G':
+    Alt(n) in Sym(n), V_4 in Alt(4), all of Alt(n) for n >= 5, and
+    Alt(n)' x 1 in Alt(n) x C_2.  Every element of G' is a single
+    commutator (O. Ore, "Some remarks on commutators", Proc. AMS 2 (1951),
+    for Sym(n) and Alt(n); V_4 directly), so at quotient genus >= 1 the long
+    relation closes exactly when the elliptic product passes."""
+    if spec.family == SYM:
+        return p.is_even()
+    if spec.family == ALT_C2:
+        a, swapped = split_alt_c2(p)
+        return not swapped and in_derived_subgroup(GroupSpec(ALT, spec.n), a)
+    return spec.n > 4 or p.cycle_type().parts in ((), (2, 2))
+
+
 # ---------------------------------------------------------------------------
 # conjugacy
 
@@ -460,9 +475,8 @@ class GroupTable:
     Elements are listed in lexicographic order of their image tuples.  Each
     class is built as the orbit of its least element under conjugation by
     the standard generators, and keyed once, from that element; classes are
-    sorted by key.  Class lookups go by image tuple, or by key
-    (`class_by_key`): a (cycle type, tag) names its class, whose first
-    element is the least of the class.  `flip` is the global split-class
+    sorted by key, and each class's first element is the least of the
+    class.  Class lookups go by image tuple.  `flip` is the global split-class
     flip on class ids: the class of each representative conjugated by
     (1 2).  That is the identity on Sym(n); on Alt(n) and Alt(n) x C_2 it
     swaps the two halves of each split class and keeps the C_2 part.
@@ -482,7 +496,6 @@ class GroupTable:
         self.identity = Perm.identity(spec.degree)
         self.elements = tuple(map(Perm._trusted, self._element_images()))
         self.classes, self._class_of = self._build_classes()
-        self.class_by_key = {cl.key: ci for ci, cl in enumerate(self.classes)}
         t = Perm.from_cycles([(1, 2)], spec.degree)
         self.flip = tuple(self._class_of[(t * cl.rep * t).images] for cl in self.classes)
         self.class_orders = tuple(cl.rep.order() for cl in self.classes)
@@ -650,16 +663,10 @@ class GroupTable:
 
     @functools.cache
     def commutator_class_ids(self) -> frozenset:
-        """Class ids of single commutators [a, b].
-
-        [a, b] = a * (b a^-1 b^-1), and b a^-1 b^-1 runs over the class of
-        a^-1 as b runs over the group, so the commutators [a, b] with a in
-        class C land in product_support(C, class of rep_C^-1).
-        """
-        found = set()
-        for ci, cl in enumerate(self.classes):
-            found |= self.product_support(ci, self.class_id(cl.rep.inverse()))
-        return frozenset(found)
+        """Class ids of the derived subgroup, whose elements are exactly the
+        single commutators [a, b] (in_derived_subgroup)."""
+        return frozenset(ci for ci, cl in enumerate(self.classes)
+                         if in_derived_subgroup(self.spec, cl.rep))
 
     @functools.cached_property
     def _index(self) -> dict:

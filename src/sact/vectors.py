@@ -17,10 +17,11 @@ it is abelian and N must contain the derived subgroup.  A tuple whose N
 misses what its quotient genus requires (_closure_needs) cannot generate
 and is dropped before any search, at no node, so a budget-limited run
 spends fewer nodes; the rest have their per-position class choices pruned
-by exact class-product reachability, then representatives are filled in by
-depth-first search with the last elliptic forced (quotient genus 0) or the
-handles solved by an exhaustive commutator scan (genus >= 1,
-datasets.handle_solutions).
+by exact class-product reachability of the end set, the identity at
+quotient genus 0 and the derived subgroup (groups.in_derived_subgroup) at
+genus >= 1, then representatives are filled in by depth-first search with
+the last elliptic forced (quotient genus 0) or the handles solved by an
+exhaustive commutator scan (genus >= 1, datasets.handle_solutions).
 
 Below position i the subtree depends only on i, the partial product and,
 for quotient genus 0 or 1, the subgroup H the chosen elliptics generate,
@@ -70,7 +71,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 from .datasets import GroupDataSet, dataset, handle_solutions, validate
 from .errors import (BudgetExhausted, InconsistencyError, NotApplicable,
                      ParseError, PeriodNotRealizable, ValidationFailure)
-from .groups import ALT, SYM, GroupSpec, group_table, spans
+from .groups import ALT, SYM, GroupSpec, group_table, require_member, spans
 from .orbifold import Signature, enumerate_signatures, run_lengths
 from .perm import Perm
 
@@ -150,18 +151,6 @@ def validate_vector(v: GeneratingVector) -> bool:
     return spans(v.spec, v.all_images())
 
 
-@functools.lru_cache(maxsize=4096)
-def _feasible_end_ids(table, g0: int) -> frozenset:
-    """Class ids the elliptic product may land in, given the handle budget:
-    the identity, the single commutators, or at g0 >= 2 the derived
-    subgroup, the normal closure of the commutators."""
-    if g0 == 0:
-        return frozenset({table.identity_class_id()})
-    if g0 == 1:
-        return table.commutator_class_ids()
-    return table.normal_closure(table.commutator_class_ids())
-
-
 def _closure_needs(table, g0: int) -> frozenset:
     """Class ids that the normal closure of a class tuple must contain for
     the tuple to generate (see the module docstring): every class at
@@ -169,7 +158,7 @@ def _closure_needs(table, g0: int) -> frozenset:
     if g0 == 0:
         return frozenset(range(len(table.classes)))
     if g0 == 1:
-        return _feasible_end_ids(table, 2)
+        return table.commutator_class_ids()
     return frozenset()
 
 
@@ -179,8 +168,8 @@ def _reach_before(table, class_id: int, after: frozenset) -> frozenset:
     can land in a class of after.
 
     A suffix's reach set is this step applied position by position from
-    `_feasible_end_ids`, so the memo serves every class tuple that shares a
-    suffix, or only its reach set.
+    the end set, so the memo serves every class tuple that shares a suffix,
+    or only its reach set.
     """
     return frozenset(x for x in range(len(table.classes))
                      if table.product_support(x, class_id) & after)
@@ -202,9 +191,10 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
     r = len(class_ids)
     sig = Signature(g0, [table.class_orders[c] for c in class_ids])
     # reach[i]: the classes from which the product of the first i elliptics
-    # can still close the relation
+    # can still reach the end set
     reach = [None] * (r + 1)
-    reach[r] = _feasible_end_ids(table, g0)
+    reach[r] = table.commutator_class_ids() if g0 else \
+        frozenset({table.identity_class_id()})
     for i in range(r - 1, -1, -1):
         reach[i] = _reach_before(table, class_ids[i], reach[i + 1])
     if table.identity_class_id() not in reach[0]:
@@ -359,6 +349,8 @@ def resolved_representative(ds: GroupDataSet,
 def materialize_vector(ds: GroupDataSet) -> GeneratingVector:
     """One concrete vector for a valid data set, its handles solved afresh."""
     spec = ds.spec
+    for e in ds.entries:
+        require_member(spec, e.rep)
     reps = ds.expanded()
     sig = Signature(ds.g0, [rep.order() for rep in reps])
     handles = next(handle_solutions(spec, ds.g0, reps, ds.product()), None)

@@ -459,6 +459,13 @@ def test_sweep_budget_stop_exits_3(capsys, argv):
         (3, "", "incomplete: node ceiling 1 hit\n")
 
 
+def test_sweep_wall_clock_stop_exits_3(capsys):
+    """A zero-second budget stops at the first clock reading, node 1024."""
+    assert run(capsys, "obstructions", "--group", "S4", "--genus", "121",
+               "--budget-seconds", "0") == \
+        (3, "", "incomplete: wall-clock ceiling 0.0s hit\n")
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["obstructions", "--group", "A5", "--genus", "61"], "a889bc11e05e1863"),
     (["obstructions", "--group", "S5", "--genus", "16"], "24b13e66bf7ad0eb"),

@@ -10,7 +10,7 @@ from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
 from sact.errors import KindMismatch, ValidationFailure
 from sact.groups import alt, group_table, sym
 from sact.perm import Perm, parse_perm
-from sact.vectors import _feasible_end_ids
+from test_groups import commutator_classes_by_products
 
 
 def icosa():
@@ -210,12 +210,12 @@ def test_equal_data_sets_hash_equal_and_hash_once(monkeypatch):
 @pytest.mark.parametrize("spec", [alt(n) for n in range(4, 8)] + [sym(n) for n in range(4, 8)],
                          ids=str)
 def test_g0_2_rule_is_the_derived_subgroup(spec):
-    """validate's family-by-family g0 >= 2 rule agrees with the table's:
-    one elliptic of class c closes the relation with two handles exactly
-    when c lies in the derived subgroup, the normal closure of the
-    commutators.  validate keeps its own rule for groups with no table."""
+    """validate's g0 >= 2 clause, the closed form in_derived_subgroup,
+    against a reference read off class products: one elliptic of class c
+    closes the relation with two handles exactly when c lies in the derived
+    subgroup, the normal closure of the single commutators."""
     table = group_table(spec)
-    feasible = _feasible_end_ids(table, 2)
+    feasible = table.normal_closure(commutator_classes_by_products(table))
     for ci, cl in enumerate(table.classes):
         if cl.rep.is_identity():
             continue
@@ -225,7 +225,10 @@ def test_g0_2_rule_is_the_derived_subgroup(spec):
         else:
             with pytest.raises(ValidationFailure) as err:
                 validate(ds)
-            assert err.value.condition in ("parity", "witness")
+            assert (err.value.condition, str(err.value)) == (
+                ("parity", "parity: entry product is odd with g0 >= 2")
+                if spec.family == SYMMETRIC else
+                ("witness", "witness: handle relation unsatisfiable in Alt(4)"))
 
 
 def test_alt4_g0_2_clause_matches_the_handle_solver():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from golden import (DA2_A, DODECAHEDRAL_A, GENUS10_ROWS, GENUS11_ROWS,
                     ICOSAHEDRAL_A, ICOSAHEDRAL_LIFT_S, ICOSAHEDRAL_LIFT_S2,
                     POLYHEDRAL_FACTORS, POLYHEDRAL_FACTORS_S, CUBIC_S,
                     OCTAHEDRAL_S, OCTAHEDRAL_S2, TETRAHEDRAL_A)
+from sact.cli import main
 from sact.datasets import (ALTERNATING, SYMMETRIC, dataset, parse_dataset,
                            validate)
 from sact.errors import (GenusMismatch, InconsistencyError, MembershipError,
@@ -259,6 +261,30 @@ def test_irreducible_detection_fires_when_present():
     factor = cyclic_factor(icosa(), parse_perm("(1 2 3 4 5)", 5))
     assert str(factor) == "(5,3;(1,5)^[2],(4,5)^[2])"
     assert not is_irreducible(factor)
+
+
+def test_obstruction_sweep_records_a_hit(monkeypatch, capsys):
+    """With each predicate patched to flag one class of the one A5 action
+    at genus 10, the sweep stores exactly those hits and reports them."""
+    ds = enumerate_weak_classes(alt(5), 10).items[0].ds
+    five, double = parse_perm("(1 2 3 5 4)", 5), parse_perm("(2 3)(4 5)", 5)
+    five_factor, double_factor = cyclic_factor(ds, five), cyclic_factor(ds, double)
+    monkeypatch.setattr(sact.factors, "is_irreducible", lambda f: f == five_factor)
+    monkeypatch.setattr(sact.factors, "is_hyperelliptic",
+                        lambda f, g: (f, g) == (double_factor, 10))
+    report = obstruction_report(alt(5), 10)
+    assert report.irreducible == [(ds, five, five_factor)]
+    assert report.hyperelliptic == [(ds, double, double_factor)]
+    assert not report.clean
+    payload = report.to_json()
+    assert payload["irreducible"] == [{"data_set": str(ds), "element": "(1 2 3 5 4)",
+                                       "factor": "(5,2;(1,5),(4,5))"}]
+    assert payload["hyperelliptic"] == [{"data_set": str(ds), "element": "(2 3)(4 5)",
+                                         "factor": "(2,4;(1,2)^[6])"}]
+    assert main(["obstructions", "--group", "A5", "--genus", "10", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"clean": false' in out
+    assert json.loads(out)["irreducible"] == payload["irreducible"]
 
 
 def test_fixed_point_profile():

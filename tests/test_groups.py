@@ -9,8 +9,8 @@ from sact.errors import MembershipError
 from sact.groups import (ALT, SYM, GroupSpec, _schreier_sims_order, alt, alt_c2,
                          are_conjugate, centralizer_order, commutator_witness,
                          conjugator_in_sym, embed_alt_c2, flip_label, generates,
-                         group_table, parse_group, spans, split_alt_c2,
-                         split_label, subgroup_order, sym)
+                         group_table, in_derived_subgroup, parse_group, spans,
+                         split_alt_c2, split_label, subgroup_order, sym)
 from sact.perm import CycleType, Perm, parse_perm
 
 
@@ -364,10 +364,11 @@ def test_flip_is_the_label_flip(spec):
     flip = table.flip
     assert len(flip) == len(table.classes)
     assert all(flip[flip[ci]] == ci for ci in range(len(flip)))
+    by_key = {cl.key: ci for ci, cl in enumerate(table.classes)}
     for ci, cl in enumerate(table.classes):
         key = cl.key if len(cl.key) == 1 else \
             cl.key[:1] + (flip_label(cl.key[1]),) + cl.key[2:]
-        assert flip[ci] == table.class_by_key[key], (spec.name, cl.key)
+        assert flip[ci] == by_key[key], (spec.name, cl.key)
 
 
 @pytest.mark.parametrize("spec", [alt(4), alt(5), alt(6), sym(4), sym(5), sym(6),
@@ -447,7 +448,8 @@ def test_element_orders():
 
 
 def _commutator_classes_by_scan(table):
-    """The scan commutator_class_ids ran before it read class products."""
+    """Oracle: the class of [a, b] for each class representative a and
+    every element b."""
     found = set()
     for cl in table.classes:
         a = cl.rep
@@ -456,11 +458,41 @@ def _commutator_classes_by_scan(table):
     return frozenset(found)
 
 
-@pytest.mark.parametrize("spec", [alt(4), alt(5), alt(6), sym(4), sym(5), sym(6),
-                                  alt_c2(4), alt_c2(5), alt_c2(6), sym(7)], ids=str)
+def commutator_classes_by_products(table):
+    """Reference for in_derived_subgroup: the classes of single commutators
+    read off class products.  [a, b] = a * (b a^-1 b^-1), and b a^-1 b^-1
+    runs over the class of a^-1 as b runs over the group, so the
+    commutators [a, b] with a in class C land in
+    product_support(C, class of rep_C^-1)."""
+    found = set()
+    for ci, cl in enumerate(table.classes):
+        found |= table.product_support(ci, table.class_id(cl.rep.inverse()))
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("spec", [sym(n) for n in range(3, 9)] + [alt(n) for n in range(4, 9)]
+                         + [alt_c2(n) for n in range(4, 9)], ids=str)
 def test_commutator_class_ids_match_the_scan(spec):
-    table = sact.groups.GroupTable(spec)
-    assert table.commutator_class_ids() == _commutator_classes_by_scan(table)
+    """The closed form is the set of single commutators and is closed under
+    products, so it is the derived subgroup and each of its elements is a
+    single commutator."""
+    table = group_table(spec)
+    by_products = commutator_classes_by_products(table)
+    assert table.commutator_class_ids() == by_products
+    assert table.normal_closure(by_products) == by_products
+    if spec.order <= 5040:
+        assert by_products == _commutator_classes_by_scan(table)
+
+
+@pytest.mark.parametrize("spec,text,inside", [
+    (sym(11), "(1 2)", False), (sym(11), "(1 2)(3 4)", True),
+    (alt(10), "(1 2 3)", True), (alt(4), "(1 2 3)", False),
+    (alt(4), "(1 2)(3 4)", True), (alt_c2(9), "(1 2 3)", True),
+    (alt_c2(9), "(1 2 3)(10 11)", False), (alt_c2(4), "(1 2 4)", False),
+], ids=str)
+def test_derived_subgroup_membership_at_any_degree(spec, text, inside):
+    """The closed form answers above the element-table cap too."""
+    assert in_derived_subgroup(spec, parse_perm(text, spec.degree)) is inside
 
 
 def _generated(gens, identity):

@@ -10,14 +10,13 @@ import sact.vectors
 from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form,
                            dataset, equivalent, handle_solutions, parse_dataset,
                            validate)
-from sact.errors import (BudgetExhausted, InconsistencyError, ParseError,
-                         PeriodNotRealizable, ValidationFailure)
+from sact.errors import (BudgetExhausted, InconsistencyError, MembershipError,
+                         ParseError, PeriodNotRealizable, ValidationFailure)
 from sact.groups import (GroupTable, alt, alt_c2, embed_alt_c2, flip_label,
                          group_table, subgroup_order, sym)
 from sact.orbifold import Signature, enumerate_signatures
 from sact.perm import Perm
 from sact.vectors import (GeneratingVector, SearchBudget, _canonical_key,
-                          _feasible_end_ids,
                           dataset_from_vector, enumerate_vectors,
                           enumerate_weak_classes, materialize_vector,
                           validate_vector, vectors_for_dataset)
@@ -225,6 +224,20 @@ def test_node_budget_is_exact(spec, g, nodes, unfinished):
     assert enumerate_weak_classes(spec, g, budget=SearchBudget(max_nodes=nodes)).complete
 
 
+def test_wall_clock_budget_fires():
+    """The clock is read every 1024 nodes, so a zero-second budget stops at
+    node 1024, where a 1023-node budget stops too."""
+    timed = enumerate_weak_classes(sym(4), 121, SearchBudget(max_seconds=0))
+    counted = enumerate_weak_classes(sym(4), 121, SearchBudget(max_nodes=1023))
+    assert not timed.complete and not counted.complete
+    assert timed.items == counted.items and len(timed.items) == 11
+    assert timed.unfinished == counted.unfinished and len(timed.unfinished) == 95
+    assert str(timed.unfinished[0]) == "(0;" + ",".join(["2"] * 24) + ")"
+    with pytest.raises(BudgetExhausted, match=r"^wall-clock ceiling 0s hit$"):
+        enumerate_weak_classes(sym(4), 121, SearchBudget(max_seconds=0),
+                               raise_on_budget=True)
+
+
 def test_class_tuple_depth_does_not_grow_with_positions():
     # A4 on (0;3^60) at g = 229: the search over 60 positions runs inside 30
     # free frames, since it keeps its own stack
@@ -268,6 +281,13 @@ def test_materialize_vector_checks_the_long_relation(monkeypatch):
         materialize_vector(octahedral)
 
 
+def test_materialize_vector_rejects_a_non_member_entry():
+    """A non-member entry is a package error, raised before any table
+    lookup could fail on it."""
+    with pytest.raises(MembershipError, match=r"^\(1 2\) is not in A5$"):
+        materialize_vector(parse_dataset("(5,1;[(1 2),2;2])", ALTERNATING))
+
+
 def test_weak_class_data_sets_are_their_text():
     """A data set the search builds equals the parse of its own text, with
     an equal hash: it carries nothing the grammar cannot express, so its
@@ -291,10 +311,9 @@ DERIVED_SPECS = ([sym(n) for n in range(3, 9)] + [alt(n) for n in range(4, 9)]
 
 @pytest.mark.parametrize("spec", DERIVED_SPECS, ids=str)
 def test_derived_subgroup_and_center_follow_the_family_rules(spec):
-    """The g0 >= 2 end classes, read off the table as the normal closure of
-    the commutators, and the center, read off as the size-1 classes, are
-    the family rules: the even classes of Sym(n); all of Alt(n) but V_4 in
-    Alt(4); the w = 0 classes of Alt(n) x C_2, again V_4 at n = 4; and a
+    """The end classes at g0 >= 1, GroupTable.commutator_class_ids, and the
+    center, read off as the size-1 classes, are the family rules: the even
+    classes of Sym(n); all of Alt(n) but V_4 in Alt(4); the w = 0 classes of Alt(n) x C_2, again V_4 at n = 4; and a
     trivial center but for the central swap of Alt(n) x C_2."""
     table = group_table(spec)
     derived = set()
@@ -307,8 +326,7 @@ def test_derived_subgroup_and_center_follow_the_family_rules(spec):
                 keep = keep and not cl.key[2]
         if keep:
             derived.add(ci)
-    for g0 in (2, 3, 5):
-        assert _feasible_end_ids(table, g0) == derived
+    assert table.commutator_class_ids() == derived
     center = {table.identity.images}
     if spec.family == "AxC2":
         center.add(embed_alt_c2(Perm.identity(spec.n), True).images)
@@ -493,7 +511,7 @@ def _reference_vectors_for_classes(spec, g0, class_ids, clock, normalize_first=F
     periods = tuple(sorted(table.classes[c].rep.order() for c in class_ids))
     sig = Signature(g0, periods)
     reach = [None] * (r + 1)
-    reach[r] = _feasible_end_ids(table, g0)
+    reach[r] = table.commutator_class_ids() if g0 else frozenset({table.identity_class_id()})
     for i in range(r - 1, -1, -1):
         reach[i] = frozenset(x for x in range(len(table.classes))
                              if table.product_support(x, class_ids[i]) & reach[i + 1])
@@ -626,7 +644,7 @@ def test_abelian_quotient_rule_fires(monkeypatch):
     to V_4, whose quotient S_3 is not abelian, so the rule settles the tuple
     before any node; without it the search has to prove it empty."""
     table = group_table(sym(4))
-    v4 = table.class_by_key[((2, 2),)]
+    v4 = {cl.key: ci for ci, cl in enumerate(table.classes)}[((2, 2),)]
 
     def nodes():
         clock = sact.vectors._Clock(None)
