@@ -298,11 +298,12 @@ def centralizer_order(spec: GroupSpec, p: Perm) -> int:
 # Largest containing order for which subgroup_order enumerates <gens>
 # instead of running Schreier-Sims.  Mean ms per call over 20 random 2-, 4-
 # and 8-element tuples per group, closure with the Lagrange cut against
-# Schreier-Sims (2-core shared host, Python 3.11.7): S5 0.03-0.05 vs
-# 0.9-1.7, S6 0.20-0.32 vs 1.6-3.7, AxC26 0.23-0.24 vs 1.4-3.5, S7 1.5-2.0
-# vs 4.3-5.3, A8 7.1-11.6 vs 4.5-7.3, S8 17-21 vs 5.6-10.9.  The crossover
-# lies between orders 5040 and 20160.  The cut is what makes closure pay:
-# without it, 8 generators of S7 take 15 ms.
+# Schreier-Sims (2-core shared host, Python 3.11.7): S5 0.02-0.03 vs
+# 0.16-0.40, S6 0.10-0.24 vs 0.24-1.07, AxC26 0.16-0.20 vs 0.34-1.33, A7
+# 0.49-0.51 vs 0.45-1.05, S7 0.99-1.09 vs 0.56-1.38, A8 4.9-6.8 vs 0.9-2.8,
+# S8 11-14 vs 1.2-2.4: closure wins to A7 and S7 is about even.  Without the
+# cut, 8 generators of S7 take 17 ms.  factors.cyclic_factor reads the cap
+# too, so moving it would change which factor queries build a group table.
 CLOSURE_ORDER_CAP = 5040
 
 
@@ -311,10 +312,10 @@ def subgroup_order(gens: Sequence[Perm], degree: int,
     """Exact order of <gens> inside Sym(degree).
 
     `within` is the order of a group known to contain every generator
-    (default degree!).  Closure with a Lagrange cut up to order 5040
-    (CLOSURE_ORDER_CAP), Schreier-Sims above: <gens> is enumerated
-    breadth-first on image tuples, and once more than within/2 elements
-    are found it has index < 2, so it is the whole containing group.
+    (default degree!).  Up to order 5040 (CLOSURE_ORDER_CAP), <gens> is
+    enumerated breadth-first on image tuples, and once more than within/2
+    elements are found it has index < 2, so it is the whole containing
+    group; above, one incremental Schreier-Sims pass decides.
     """
     if within is None:
         within = math.factorial(degree)
@@ -360,77 +361,73 @@ def _close(seen: set, frontier: list, padded: Iterable[tuple], cap: int) -> bool
 
 
 def _schreier_sims_order(gens: Sequence[Perm], degree: int) -> int:
-    """Exact order of <gens> inside Sym(degree), by Schreier-Sims."""
+    """Exact order of <gens> inside Sym(degree), by incremental Schreier-Sims
+    (C. C. Sims 1970; A. Seress, Permutation Group Algorithms, 2003, ch. 4).
+
+    Level i holds strong generators fixing base[:i] and the orbit of base[i]
+    under them, each point with a u mapping base[i] to it.  The generators
+    are sifted in; then, from the last level to the first, each Schreier
+    generator u_{g(b)}^-1 * g * u_b of level i is sifted from level i + 1.
+    A residue other than the identity joins only the levels from i + 1 to
+    the one it stopped at (a new one, with a point it moves, if it passed
+    them all), and the check resumes there.  Once level 0 passes, the order
+    is the product of the orbit sizes.
+    """
     identity = Perm.identity(degree)
-    strong = [g for g in gens if g != identity]
-    if not strong:
-        return 1
-    base: list = []
+    base, level_gens, orbits = [], [], []
 
-    def level_gens(i):
-        return [g for g in strong if all(g(b) == b for b in base[:i])]
-
-    def extend_base(g):
-        for x in range(1, degree + 1):
-            if g(x) != x and x not in base:
-                base.append(x)
-                return
-
-    def transversal(i, gens_i):
-        beta = base[i]
-        table = {beta: identity}
-        frontier = [beta]
-        while frontier:
-            nxt = []
-            for point in frontier:
-                u = table[point]
-                for g in gens_i:
-                    q = g(point)
-                    if q not in table:
-                        table[q] = g * u
-                        nxt.append(q)
-            frontier = nxt
-        return table
-
-    def sift(g, tables):
-        for i, table in enumerate(tables):
-            img = g(base[i])
-            u = table.get(img)
+    def sift(h, i):
+        """h reduced through the levels from i, and the level it stopped at."""
+        for j in range(i, len(base)):
+            u = orbits[j].get(h(base[j]))
             if u is None:
-                return g, i
-            g = u.inverse() * g
-        return g, len(tables)
+                return h, j
+            h = u.inverse() * h
+        return h, len(base)
 
-    for g in strong:
-        if all(g(b) == b for b in base):
-            extend_base(g)
+    def join(h, low, high):
+        if high == len(base):
+            point = next(x for x in range(1, degree + 1) if h(x) != x)
+            base.append(point)
+            level_gens.append([])
+            orbits.append({point: identity})
+        for i in range(low, high + 1):
+            level_gens[i].append(h)
+            orbit = orbits[i]
+            frontier = list(orbit)  # the transversal found so far stays
+            for point in frontier:
+                u = orbit[point]
+                for g in level_gens[i]:
+                    if g(point) not in orbit:
+                        orbit[g(point)] = g * u
+                        frontier.append(g(point))
 
-    while True:
-        gens_per_level = [level_gens(i) for i in range(len(base))]
-        tables = [transversal(i, gens_per_level[i]) for i in range(len(base))]
-        residue_found = False
-        for i in range(len(base)):
-            for point, u in tables[i].items():
-                for g in gens_per_level[i]:
-                    schreier = tables[i][g(point)].inverse() * g * u
-                    if schreier == identity:
-                        continue
-                    residue, _ = sift(schreier, tables)
-                    if residue != identity:
-                        strong.append(residue)
-                        if all(residue(b) == b for b in base):
-                            extend_base(residue)
-                        residue_found = True
-                        break
-                if residue_found:
-                    break
-            if residue_found:
-                break
-        if not residue_found:
-            order = 1
-            for table in tables:
-                order *= len(table)
-            return order
+    def residue(i):
+        """sift's answer for the first Schreier generator of level i that
+        does not sift, or None."""
+        orbit = orbits[i]
+        for point, u in orbit.items():
+            for g in level_gens[i]:
+                gu, v = g * u, orbit[g(point)]
+                if gu != v:
+                    h, j = sift(v.inverse() * gu, i + 1)
+                    if h != identity:
+                        return h, j
+        return None
+
+    for g in gens:
+        h, j = sift(g, 0)
+        if h != identity:
+            join(h, 0, j)
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+        else:
+            join(found[0], i + 1, found[1])
+            i = found[1]
+    return math.prod(map(len, orbits))
 
 
 def spans(spec: GroupSpec, gens: Sequence[Perm]) -> bool:

@@ -174,18 +174,17 @@ def match_descent(target_ds: GroupDataSet, target_inv: InvolutionDescent,
                   cand: Restriction) -> Tuple[bool, bool]:
     """(loose, strict) match of a candidate descent against a target pair.
 
-    Loose: same degree and quotient genus, equal cycle-type multisets, equal
-    involution class D, and equal multisets of type-tagged orbits, which is
-    when the cone permutations are conjugate under a type-preserving
-    matching of cone points.  Strict: equal orbits tagged with split classes
-    too, as they are or all flipped.
+    Loose: same degree and quotient genus, equal involution class D, and
+    equal multisets of type-tagged orbits, which is when the cone
+    permutations are conjugate under a type-preserving matching of cone
+    points.  Every cone lies in exactly one orbit, so equal orbits imply
+    equal cycle-type multisets.  Strict: equal orbits tagged with split
+    classes too, as they are or all flipped.
     """
     a, b = target_ds, cand.alt_ds
     if (a.n, a.g0) != (b.n, b.g0):
         return (False, False)
     sa, sb = cone_slots(a), cone_slots(b)
-    if sorted((o, p) for o, p, _ in sa) != sorted((o, p) for o, p, _ in sb):
-        return (False, False)
     if target_inv.d != cand.descent.d:
         return (False, False)
     pa, pb = target_inv.perm, cand.descent.perm

@@ -283,8 +283,8 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
 
 
 def _class_tuples(table, periods: Sequence[int]):
-    """Per-position class choices, non-decreasing inside equal-period blocks;
-    none when some period is no element order, since it has no class."""
+    """Class tuples, one per class multiset in each equal-period block, as
+    weak classes need; none when some period is no element order."""
     blocks = []
     for m, block in itertools.groupby(periods):
         size = len(list(block))
@@ -297,7 +297,8 @@ def _class_tuples(table, periods: Sequence[int]):
 def enumerate_vectors(spec: GroupSpec, sig: Signature,
                       budget: Optional[SearchBudget] = None
                       ) -> Iterator[GeneratingVector]:
-    """All generating vectors for the signature, deterministically ordered.
+    """Every generating vector for the signature, deterministically ordered:
+    every ordered class tuple in turn, the last position fastest.
 
     Raises PeriodNotRealizable when some period is not an element order.
     """
@@ -311,7 +312,8 @@ def enumerate_vectors(spec: GroupSpec, sig: Signature,
         raise ParseError(f"signature {sig} is not hyperbolic")
     table = group_table(spec)
     clock = _Clock(budget)
-    for ids in _class_tuples(table, sig.periods):
+    pools = [table.classes_by_order[m] for m in sig.periods]
+    for ids in itertools.product(*pools):
         yield from _vectors_for_classes(spec, sig.g0, ids, clock)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from golden import (CUBIC_A_PRINTED, CUBIC_A_VALID, ICOSAHEDRAL_A,
 from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
                            equivalent, format_dataset, handle_solutions,
                            parse_dataset, validate)
-from sact.errors import KindMismatch, ValidationFailure
+from sact.errors import KindMismatch, ParseError, ValidationFailure
 from sact.groups import alt, group_table, sym
 from sact.perm import Perm, parse_perm
 from test_groups import commutator_classes_by_products
@@ -254,3 +255,12 @@ def test_alt4_g0_2_clause_matches_the_handle_solver():
                 if accepted != solvable:
                     disagreements.append(str(ds))
     assert disagreements == []
+
+
+@pytest.mark.parametrize("text,kind,message", [
+    (ICOSAHEDRAL_A, "X", "unknown data set kind 'X'"),
+    ("(4,0;[(1 2)])", ALTERNATING, "bad entry '(1 2)'"),
+], ids=["kind", "entry"])
+def test_parse_dataset_rejects(text, kind, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_dataset(text, kind)

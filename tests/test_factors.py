@@ -159,6 +159,12 @@ def test_weakly_generates_hyperelliptic_absent():
     assert weakly_generates(hyper, d_g, sym(4)) is None
 
 
+def test_weakly_generates_without_an_element_of_the_degree():
+    # A5 has no element of order 7, so no sweep runs
+    d = parse_cyclic("(7,0;(1,7),(2,7),(4,7))")
+    assert weakly_generates(d, d, alt(5)) is None
+
+
 def test_weakly_generates_orbit_filter_cuts_generation_tests(monkeypatch, request):
     """The factor of (1 2)(3 4) in the icosahedral data set, against itself:
     two involutions generate a dihedral group, so there is no witness, with

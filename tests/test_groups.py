@@ -258,6 +258,37 @@ def test_subgroup_order_against_sympy():
             assert subgroup_order(gens, degree, spec.order) == ref.order(), gens
 
 
+M11 = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
+M12 = M11 + ["(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]
+
+
+@pytest.mark.parametrize("cycles,degree,order", [(M11, 11, 7920), (M12, 12, 95040)],
+                         ids=["M11", "M12"])
+def test_schreier_sims_orders_the_mathieu_groups(cycles, degree, order):
+    gens = [parse_perm(c, degree) for c in cycles]
+    assert _schreier_sims_order(gens, degree) == order
+    assert subgroup_order(gens, degree) == order
+    assert not spans(alt(degree), gens)
+
+
+def test_schreier_sims_against_sympy_at_degrees_11_and_12():
+    """Random tuples, half of them raised to powers so that they land in
+    proper subgroups (cyclic, intransitive or imprimitive ones among them)."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(1112)
+    for case in range(24):
+        degree = 11 + case % 2
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(1, degree + 1))
+            rng.shuffle(images)
+            p = Perm(images)
+            gens.append(p ** rng.randint(2, 6) if case % 4 >= 2 else p)
+        ref = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([x - 1 for x in g.images]) for g in gens])
+        assert _schreier_sims_order(gens, degree) == ref.order(), gens
+
+
 def _class_ids(table, *keys):
     return frozenset(i for i, cl in enumerate(table.classes) if cl.key in keys)
 

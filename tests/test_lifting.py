@@ -340,6 +340,19 @@ def test_match_descent_counts_orbits_without_enumerating_matchings():
     assert time.perf_counter() - start < 0.5
 
 
+def test_match_descent_refuses_other_cones_or_another_involution_class():
+    """The icosahedral pair against itself matches; other cone types (the
+    orbit multisets differ) or another class D do not."""
+    target = descent(D_SPHERE, "(3 4)", 4)
+    assert match_descent(icosa(), target, Restriction(icosa(), target, 0)) == (True, True)
+    other_cones = parse_dataset(DODECAHEDRAL_A, ALTERNATING)
+    assert match_descent(icosa(), target, Restriction(other_cones, target, 0)) == \
+        (False, False)
+    other_d = descent("(2,0;(1,2)^[4])", "(3 4)", 4)
+    assert match_descent(icosa(), target, Restriction(icosa(), other_d, 0)) == \
+        (False, False)
+
+
 def test_slots_are_a_shared_tuple():
     ds = icosa()
     slots = cone_slots(ds)
@@ -441,6 +454,9 @@ def test_descent_validation():
         decide_lift(ds, descent("(2,1;-)", "()", 4))  # wrong quotient surface
     with pytest.raises(ValidationFailure):
         decide_lift(ds, descent(D_SPHERE, "(2 3)", 4))  # maps 2-cone to 5-cone
+    with pytest.raises(ValidationFailure,
+                       match=r"^admissibility: cone permutation degree 3 != 4$"):
+        decide_lift(ds, descent(D_SPHERE, "(1 2)", 3))
     with pytest.raises(ValidationFailure):
         InvolutionDescent(parse_cyclic(D_SPHERE), parse_perm("(1 2 3)", 4))
 

@@ -11,7 +11,8 @@ from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form,
                            dataset, equivalent, handle_solutions, parse_dataset,
                            validate)
 from sact.errors import (BudgetExhausted, InconsistencyError, MembershipError,
-                         ParseError, PeriodNotRealizable, ValidationFailure)
+                         NotApplicable, ParseError, PeriodNotRealizable,
+                         ValidationFailure)
 from sact.groups import (GroupTable, alt, alt_c2, embed_alt_c2, flip_label,
                          group_table, subgroup_order, sym)
 from sact.orbifold import Signature, enumerate_signatures
@@ -19,7 +20,8 @@ from sact.perm import Perm
 from sact.vectors import (GeneratingVector, SearchBudget, _canonical_key,
                           dataset_from_vector, enumerate_vectors,
                           enumerate_weak_classes, materialize_vector,
-                          validate_vector, vectors_for_dataset)
+                          resolved_representative, validate_vector,
+                          vectors_for_dataset)
 
 
 def test_enumerate_vectors_basic():
@@ -30,6 +32,29 @@ def test_enumerate_vectors_basic():
     # all solutions collapse to a single weak class
     classes = enumerate_weak_classes(alt(5), 10)
     assert len(classes.items) == 1
+
+
+@pytest.mark.parametrize("spec,sig,total", [(alt(5), Signature(0, [3, 5, 5]), 240),
+                                            (alt(4), Signature(0, [3, 3, 3, 3]), 360)],
+                         ids=["A5(0;3,5,5)", "A4(0;3,3,3,3)"])
+def test_enumerate_vectors_lists_every_vector(spec, sig, total):
+    """Against a scan of every tuple of elements of the periods' orders, the
+    last one forced by the long relation: a listing walks every ordered
+    class tuple, not one per class multiset."""
+    table = group_table(spec)
+    pools = [[p for p in table.elements if p.order() == m] for m in sig.periods[:-1]]
+    scanned = set()
+    for head in itertools.product(*pools):
+        product = Perm.identity(spec.degree)
+        for x in head:
+            product = product * x
+        last = product.inverse()
+        if last.order() == sig.periods[-1] and \
+                subgroup_order(list(head), spec.degree) == spec.order:
+            scanned.add(head + (last,))
+    listed = [v.elliptic for v in enumerate_vectors(spec, sig)]
+    assert len(listed) == len(set(listed)) == len(scanned) == total
+    assert set(listed) == scanned
 
 
 @pytest.mark.parametrize("spec,sig", [(sym(6), Signature(0, [2, 3, 6])),
@@ -286,6 +311,18 @@ def test_materialize_vector_rejects_a_non_member_entry():
     lookup could fail on it."""
     with pytest.raises(MembershipError, match=r"^\(1 2\) is not in A5$"):
         materialize_vector(parse_dataset("(5,1;[(1 2),2;2])", ALTERNATING))
+
+
+def test_unrealizable_alt4_data_set_is_refused():
+    """A 3-cycle is outside V_4, the derived subgroup of Alt(4), so no
+    handle pairs close the relation at quotient genus 2: re-solving finds no
+    vector and re-raises the witness failure, and materializing refuses."""
+    ds = parse_dataset("(4,2;[(1 2 3),3;3])", ALTERNATING)
+    with pytest.raises(ValidationFailure,
+                       match=r"^witness: handle relation unsatisfiable in Alt\(4\)$"):
+        resolved_representative(ds)
+    with pytest.raises(NotApplicable, match="^no handle images close the relation$"):
+        materialize_vector(ds)
 
 
 def test_weak_class_data_sets_are_their_text():
