@@ -103,6 +103,7 @@ def dataset(kind: str, n: int, g0: int, reps_with_mult: Sequence) -> GroupDataSe
 # validation
 
 
+@functools.lru_cache(maxsize=4096)
 def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
     """Check every defining condition and return the genus (>= 2).
 
@@ -116,7 +117,8 @@ def validate(ds: GroupDataSet, structure_only: bool = False) -> int:
     witness.  With structure_only the realizability clauses (product,
     generation, witness) are skipped; canonical forms are shape-checked
     this way, since their display representatives need not multiply to
-    the identity.
+    the identity.  Answers are memoized, so a data set is checked once per
+    process; a failure is not, and raises again on the next call.
     """
     spec = ds.spec
     for e in ds.entries:

@@ -66,11 +66,6 @@ def fixed_point_count(ds: GroupDataSet, x: Perm, u: int, m: int) -> int:
     return int(count)
 
 
-@functools.lru_cache(maxsize=4096)
-def _structural_genus(ds: GroupDataSet) -> int:
-    return validate(ds, structure_only=True)
-
-
 _TRIVIAL = "cyclic factor needs a non-trivial element"
 
 
@@ -93,7 +88,7 @@ def cyclic_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
 
 def _direct_factor(ds: GroupDataSet, sigma: Perm) -> CyclicDataSet:
     """cyclic_factor by the direct formula on sigma and its powers."""
-    g = _structural_genus(ds)
+    g = validate(ds, structure_only=True)
     d = sigma.order()
     powers = {t: sigma ** (d // t) for t in _divisors(d)}
     return _unwind(g, d, lambda t, u: fixed_point_count(ds, powers[t], u, t))
@@ -128,7 +123,7 @@ class FactorTable:
         factor = self._factors[ci]
         if factor is None:
             factor = self._factors[ci] = class_factor(
-                self.table, _structural_genus(self.ds), self._entries, ci)
+                self.table, validate(self.ds, structure_only=True), self._entries, ci)
         return factor
 
     def factor(self, sigma: Perm) -> CyclicDataSet:

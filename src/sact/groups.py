@@ -153,19 +153,35 @@ def require_member(spec: GroupSpec, p: Perm) -> None:
         raise MembershipError(f"{p} is not in {spec.name}")
 
 
+def normal_rank(spec: GroupSpec, p: Perm) -> tuple:
+    """(rank, swapped) of p, a member of spec's group: the one encoding of
+    the group's normal subgroups.  Those of Sym(n) and Alt(n) form a chain,
+    1 < V_4 < A_4 < S_4 at n = 4 and 1 < A_n < S_n otherwise, and the rank
+    names the least member holding p: 0 for the identity, 1 for type (2,2)
+    at n = 4, 2 for any other even p, 3 for an odd one.  Alt(n), n >= 4,
+    has no subgroup of index 2, and V_4's are not normal in Alt(4), so by
+    Goursat's lemma the normal subgroups of Alt(n) x C_2 are the products
+    M x W: the rank is that of p's Alt(n) part, and `swapped` says whether
+    p lies outside Alt(n) x 1 (never, in the other families)."""
+    swapped = False
+    if spec.family == ALT_C2:
+        p, swapped = split_alt_c2(p)
+    if p.is_identity():
+        return 0, swapped
+    if spec.n == 4 and p.cycle_type().parts == (2, 2):
+        return 1, swapped
+    return (2 if p.is_even() else 3), swapped
+
+
 def in_derived_subgroup(spec: GroupSpec, p: Perm) -> bool:
     """Whether p, a member of spec's group, lies in its derived subgroup G':
     Alt(n) in Sym(n), V_4 in Alt(4), all of Alt(n) for n >= 5, and
-    Alt(n)' x 1 in Alt(n) x C_2.  Every element of G' is a single
-    commutator (O. Ore, "Some remarks on commutators", Proc. AMS 2 (1951),
-    for Sym(n) and Alt(n); V_4 directly), so at quotient genus >= 1 the long
-    relation closes exactly when the elliptic product passes."""
-    if spec.family == SYM:
-        return p.is_even()
-    if spec.family == ALT_C2:
-        a, swapped = split_alt_c2(p)
-        return not swapped and in_derived_subgroup(GroupSpec(ALT, spec.n), a)
-    return spec.n > 4 or p.cycle_type().parts in ((), (2, 2))
+    Alt(n)' x 1 in Alt(n) x C_2, read off normal_rank.  Every element of G'
+    is a single commutator (O. Ore, "Some remarks on commutators", Proc. AMS
+    2 (1951), for Sym(n) and Alt(n); V_4 directly), so at quotient genus
+    >= 1 the long relation closes exactly when the elliptic product passes."""
+    rank, swapped = normal_rank(spec, p)
+    return not swapped and rank <= (1 if spec.family != SYM and spec.n == 4 else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -636,27 +652,10 @@ class GroupTable:
         after_rep = operator.itemgetter(*(k - 1 for k in other.rep.images))
         return frozenset(class_of[after_rep(b.images)] for b in scanned.elements)
 
-    def normal_closure(self, ids: Iterable[int]) -> frozenset:
-        """Class ids of the normal subgroup generated by the given classes.
-
-        A union of classes closed under products is a normal subgroup, so
-        the identity class plus ids is closed under product_support.
-        """
-        return self._normal_closure(frozenset(ids))
-
     @functools.cache
-    def _normal_closure(self, ids: frozenset) -> frozenset:
-        members = set(ids)
-        members.add(self.identity_class_id())
-        pending = list(members)
-        while pending:
-            i = pending.pop()
-            for j in list(members):
-                for k in self.product_support(i, j):
-                    if k not in members:
-                        members.add(k)
-                        pending.append(k)
-        return frozenset(members)
+    def class_ranks(self) -> tuple:
+        """normal_rank of each class, by class id."""
+        return tuple(normal_rank(self.spec, cl.rep) for cl in self.classes)
 
     @functools.cache
     def commutator_class_ids(self) -> frozenset:

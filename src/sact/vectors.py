@@ -9,19 +9,20 @@ subject to the long relation
 and joint generation of the whole group.
 
 The search is keyed by conjugacy-class tuples first.  Let N be the normal
-closure of a tuple's classes (GroupTable.normal_closure).  In G/N every
-elliptic is trivial, so the handle images generate G/N and satisfy the long
-relation there: with quotient genus 0, G/N is trivial and N must be the
-whole group; with quotient genus 1, G/N is generated by a commuting pair, so
-it is abelian and N must contain the derived subgroup.  A tuple whose N
-misses what its quotient genus requires (_closure_needs) cannot generate
-and is dropped before any search, at no node, so a budget-limited run
-spends fewer nodes; the rest have their per-position class choices pruned
-by exact class-product reachability of the end set, the identity at
-quotient genus 0 and the derived subgroup (groups.in_derived_subgroup) at
-genus >= 1, then representatives are filled in by depth-first search with
-the last elliptic forced (quotient genus 0) or the handles solved by an
-exhaustive commutator scan (genus >= 1, datasets.handle_solutions).
+closure of a tuple's classes, read off their ranks in closed form
+(groups.normal_rank).  In G/N every elliptic is trivial, so the handle
+images generate G/N and satisfy the long relation there: with quotient
+genus 0, G/N is trivial and N must be the whole group; with quotient genus
+1, G/N is generated by a commuting pair, so it is abelian and N must
+contain the derived subgroup.  A tuple whose N misses what its quotient
+genus requires (_closure_allows) cannot generate and is dropped before any
+search, at no node, so a budget-limited run spends fewer nodes; the rest
+have their per-position class choices pruned by exact class-product
+reachability of the end set, the identity at quotient genus 0 and the
+derived subgroup (groups.in_derived_subgroup) at genus >= 1, then
+representatives are filled in by depth-first search with the last
+elliptic forced (quotient genus 0) or the handles solved by an exhaustive
+commutator scan (genus >= 1, datasets.handle_solutions).
 
 Below position i the subtree depends only on i, the partial product and,
 for quotient genus 0 or 1, the subgroup H the chosen elliptics generate,
@@ -151,15 +152,17 @@ def validate_vector(v: GeneratingVector) -> bool:
     return spans(v.spec, v.all_images())
 
 
-def _closure_needs(table, g0: int) -> frozenset:
-    """Class ids that the normal closure of a class tuple must contain for
-    the tuple to generate (see the module docstring): every class at
-    g0 = 0, the derived subgroup at g0 = 1, none at g0 >= 2."""
-    if g0 == 0:
-        return frozenset(range(len(table.classes)))
-    if g0 == 1:
-        return table.commutator_class_ids()
-    return frozenset()
+def _closure_allows(table, g0: int, class_ids: Sequence[int]) -> bool:
+    """Whether a class tuple's normal closure N holds G at g0 = 0 and G' at
+    g0 = 1 (see the module docstring).  N is the classes ranked no higher
+    than the tuple's highest, swapped only if one of its classes is."""
+    if g0 >= 2:
+        return True
+    ranks = table.class_ranks()
+    top = max((ranks[c][0] for c in class_ids), default=0)
+    swaps = any(ranks[c][1] for c in class_ids)
+    needed = range(len(ranks)) if g0 == 0 else table.commutator_class_ids()
+    return all(ranks[c][0] <= top and (swaps or not ranks[c][1]) for c in needed)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -185,8 +188,7 @@ def _vectors_for_classes(spec: GroupSpec, g0: int, class_ids: Sequence[int],
     vector, so this is complete for existence questions.
     """
     table = group_table(spec)
-    needed = _closure_needs(table, g0)
-    if needed and not needed <= table.normal_closure(class_ids):
+    if not _closure_allows(table, g0, class_ids):
         return
     r = len(class_ids)
     sig = Signature(g0, [table.class_orders[c] for c in class_ids])

@@ -5,13 +5,14 @@ import pytest
 
 from golden import (CUBIC_A_PRINTED, CUBIC_A_VALID, ICOSAHEDRAL_A,
                     OCTAHEDRAL_A, TETRAHEDRAL_A)
+import sact.datasets
 from sact.datasets import (ALTERNATING, SYMMETRIC, canonical_form, dataset,
                            equivalent, format_dataset, handle_solutions,
                            parse_dataset, validate)
 from sact.errors import KindMismatch, ParseError, ValidationFailure
 from sact.groups import alt, group_table, sym
 from sact.perm import Perm, parse_perm
-from test_groups import commutator_classes_by_products
+from test_groups import commutator_classes_by_products, normal_closure_by_products
 
 
 def icosa():
@@ -47,6 +48,22 @@ def test_product_failure():
     with pytest.raises(ValidationFailure) as err:
         validate(broken)
     assert err.value.condition == "product"
+
+
+def test_validate_memoizes_answers_not_failures(monkeypatch):
+    """An answer is memoized, so an equal data set is not checked again; a
+    failure is not, and a bad data set raises the same failure again."""
+    assert validate(parse_dataset(TETRAHEDRAL_A, ALTERNATING)) == 3
+    monkeypatch.setattr(sact.datasets, "spans", lambda spec, gens: False)
+    assert validate(parse_dataset(TETRAHEDRAL_A, ALTERNATING)) == 3
+    broken = parse_dataset(
+        "(4,0;[(1 2)(3 4),2;2,2]^[2],[(2 4 3),3;3]^[2])", ALTERNATING)
+    failures = []
+    for _ in range(2):
+        with pytest.raises(ValidationFailure) as err:
+            validate(broken)
+        failures.append((err.value.condition, str(err.value)))
+    assert failures == [("product", "product: entry product is not the identity")] * 2
 
 
 def test_generation_failure():
@@ -216,7 +233,7 @@ def test_g0_2_rule_is_the_derived_subgroup(spec):
     closes the relation with two handles exactly when c lies in the derived
     subgroup, the normal closure of the single commutators."""
     table = group_table(spec)
-    feasible = table.normal_closure(commutator_classes_by_products(table))
+    feasible = normal_closure_by_products(table, commutator_classes_by_products(table))
     for ci, cl in enumerate(table.classes):
         if cl.rep.is_identity():
             continue

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import sact.groups
+import sact.vectors
 from sact.errors import MembershipError
 from sact.groups import (ALT, SYM, GroupSpec, _schreier_sims_order, alt, alt_c2,
                          are_conjugate, centralizer_order, commutator_witness,
@@ -293,26 +294,59 @@ def _class_ids(table, *keys):
     return frozenset(i for i, cl in enumerate(table.classes) if cl.key in keys)
 
 
+def normal_closure_by_products(table, ids):
+    """Reference for the closed-form closure rule: class ids of the normal
+    subgroup generated by the given classes.  A union of classes closed
+    under products is a normal subgroup, so the identity class plus ids is
+    closed under product_support."""
+    members = set(ids) | {table.identity_class_id()}
+    pending = list(members)
+    while pending:
+        i = pending.pop()
+        for j in list(members):
+            for k in table.product_support(i, j):
+                if k not in members:
+                    members.add(k)
+                    pending.append(k)
+    return frozenset(members)
+
+
 def test_normal_closure_examples():
+    """The reference closure and the search's closed-form verdicts on the
+    proper normal subgroups of the n = 4 groups."""
+    allows = sact.vectors._closure_allows
     a4 = group_table(alt(4))
     v4 = _class_ids(a4, ((), "whole"), ((2, 2), "whole"))
-    assert a4.normal_closure(v4 - {a4.identity_class_id()}) == v4
-    assert a4.normal_closure(_class_ids(a4, ((3,), "plus"))) == \
-        frozenset(range(len(a4.classes)))
+    assert normal_closure_by_products(a4, v4 - {a4.identity_class_id()}) == v4
+    assert [allows(a4, g0, (ci,)) for g0 in (0, 1) for ci in sorted(v4)] == \
+        [False, False, False, True]
+    three = tuple(_class_ids(a4, ((3,), "plus")))
+    assert normal_closure_by_products(a4, three) == frozenset(range(len(a4.classes)))
+    assert allows(a4, 0, three)
     # the even classes of Sym(4) close to Alt(4), a transposition to Sym(4)
     s4 = group_table(sym(4))
     even = _class_ids(s4, ((),), ((2, 2),), ((3,),))
-    assert s4.normal_closure(_class_ids(s4, ((3,),))) == even
-    assert s4.normal_closure(_class_ids(s4, ((2,),))) == \
-        frozenset(range(len(s4.classes)))
+    three = tuple(_class_ids(s4, ((3,),)))
+    assert normal_closure_by_products(s4, three) == even
+    assert (allows(s4, 0, three), allows(s4, 1, three)) == (False, True)
+    double = tuple(_class_ids(s4, ((2, 2),)))
+    assert (allows(s4, 0, double), allows(s4, 1, double)) == (False, False)
+    swap = tuple(_class_ids(s4, ((2,),)))
+    assert normal_closure_by_products(s4, swap) == frozenset(range(len(s4.classes)))
+    assert allows(s4, 0, swap)
     # Alt(4) x C_2: V_4 x C_2 and Alt(4) x 1 are proper
     axc = group_table(alt_c2(4))
     v4c2 = _class_ids(axc, ((), "whole", False), ((), "whole", True),
                       ((2, 2), "whole", False), ((2, 2), "whole", True))
-    assert axc.normal_closure(_class_ids(axc, ((2, 2), "whole", True))) == v4c2
+    double = tuple(_class_ids(axc, ((2, 2), "whole", True)))
+    assert normal_closure_by_products(axc, double) == v4c2
+    assert (allows(axc, 0, double), allows(axc, 1, double)) == (False, True)
     alt_part = frozenset(i for i, cl in enumerate(axc.classes) if not cl.key[2])
-    assert axc.normal_closure(_class_ids(axc, ((3,), "minus", False))) == alt_part
+    three = tuple(_class_ids(axc, ((3,), "minus", False)))
+    assert normal_closure_by_products(axc, three) == alt_part
     assert len(alt_part) < len(axc.classes)
+    assert (allows(axc, 0, three), allows(axc, 1, three)) == (False, True)
+    assert allows(axc, 0, three + double)
 
 
 def test_membership_alt_c2():
@@ -510,7 +544,7 @@ def test_commutator_class_ids_match_the_scan(spec):
     table = group_table(spec)
     by_products = commutator_classes_by_products(table)
     assert table.commutator_class_ids() == by_products
-    assert table.normal_closure(by_products) == by_products
+    assert normal_closure_by_products(table, by_products) == by_products
     if spec.order <= 5040:
         assert by_products == _commutator_classes_by_scan(table)
 
@@ -593,6 +627,7 @@ def test_table_lookups_are_memoized_per_table():
         lambda t: t.power_class(3, 2),
         lambda t: t.product_support(2, 3),
         lambda t: t.least_second(1, 2),
+        lambda t: t.class_ranks(),
     ]
     other = sact.groups.GroupTable(spec)
     other.join(other.trivial_mask, p)
@@ -603,7 +638,3 @@ def test_table_lookups_are_memoized_per_table():
         assert fresh == first
         if not isinstance(first, int):
             assert fresh is not first
-    closure = table.normal_closure([2, 3])
-    assert table.normal_closure((3, 2)) is closure
-    assert other.normal_closure([2, 3]) == closure
-    assert other.normal_closure([2, 3]) is not closure

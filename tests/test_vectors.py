@@ -22,6 +22,7 @@ from sact.vectors import (GeneratingVector, SearchBudget, _canonical_key,
                           enumerate_weak_classes, materialize_vector,
                           resolved_representative, validate_vector,
                           vectors_for_dataset)
+from test_groups import commutator_classes_by_products, normal_closure_by_products
 
 
 def test_enumerate_vectors_basic():
@@ -523,8 +524,7 @@ def test_normal_closure_prune_matches_unpruned_search(spec, g, sigs, monkeypatch
     """Dropping class tuples whose normal closure is proper changes no weak
     class and no witness vector."""
     pruned = _weak_class_rows(spec, g, sigs)
-    monkeypatch.setattr(GroupTable, "normal_closure",
-                        lambda self, ids: frozenset(range(len(self.classes))))
+    monkeypatch.setattr(sact.vectors, "_closure_allows", lambda table, g0, ids: True)
     assert _weak_class_rows(spec, g, sigs) == pruned
 
 
@@ -532,17 +532,39 @@ def test_normal_closure_prune_fires(monkeypatch):
     """A4@10 finishes in 12 nodes only because tuples that lie in V_4 are
     dropped; the unpruned search needs more."""
     assert enumerate_weak_classes(alt(4), 10, budget=SearchBudget(max_nodes=12)).complete
-    monkeypatch.setattr(GroupTable, "normal_closure",
-                        lambda self, ids: frozenset(range(len(self.classes))))
+    monkeypatch.setattr(sact.vectors, "_closure_allows", lambda table, g0, ids: True)
     assert not enumerate_weak_classes(alt(4), 10,
                                       budget=SearchBudget(max_nodes=12)).complete
+
+
+CLOSURE_SPECS = ([sym(n) for n in range(3, 9)] + [alt(n) for n in range(4, 9)]
+                 + [alt_c2(n) for n in range(4, 9)])
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=str)
+def test_closure_rule_matches_the_class_product_closure(spec):
+    """The closed-form closure rule against the normal closure closed under
+    class products: on every class and every pair of classes, the tuple
+    passes at g0 = 0 exactly when its closure is G, and at g0 = 1 exactly
+    when its closure holds G'."""
+    table = group_table(spec)
+    needs = {0: frozenset(range(len(table.classes))),
+             1: commutator_classes_by_products(table)}
+    ids = range(len(table.classes))
+    wrong = []
+    for pair in itertools.chain(zip(ids), itertools.combinations(ids, 2)):
+        closure = normal_closure_by_products(table, pair)
+        for g0, need in needs.items():
+            if sact.vectors._closure_allows(table, g0, pair) != (need <= closure):
+                wrong.append((g0, [table.classes[c].key for c in pair]))
+    assert wrong == []
 
 
 def _reference_vectors_for_classes(spec, g0, class_ids, clock, normalize_first=False):
     """The class-tuple DFS without the dead-state memo: every state is
     expanded, and every leaf runs the handle solver's generation test."""
     table = group_table(spec)
-    if g0 == 0 and len(table.normal_closure(class_ids)) < len(table.classes):
+    if g0 == 0 and len(normal_closure_by_products(table, class_ids)) < len(table.classes):
         return
     r = len(class_ids)
     periods = tuple(sorted(table.classes[c].rep.order() for c in class_ids))
@@ -657,9 +679,9 @@ def test_second_elliptic_rule_fires(monkeypatch):
 
 def _without_abelian_quotient_rule(monkeypatch):
     """Patch out the g0 = 1 closure rule; the g0 = 0 rule stays."""
-    needs = sact.vectors._closure_needs
-    monkeypatch.setattr(sact.vectors, "_closure_needs",
-                        lambda table, g0: frozenset() if g0 == 1 else needs(table, g0))
+    allows = sact.vectors._closure_allows
+    monkeypatch.setattr(sact.vectors, "_closure_allows",
+                        lambda table, g0, ids: g0 == 1 or allows(table, g0, ids))
 
 
 ABELIAN_QUOTIENT_RANGES = [(alt(4), 25), (sym(4), 25), (alt(5), 21), (sym(5), 21),
